@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mersit_core::parse_format;
 use mersit_nn::models::vgg_t;
 use mersit_nn::synthetic_images;
-use mersit_ptq::{calibrate, evaluate_format, quantize_tensor, scale_for};
+use mersit_ptq::{calibrate, quantize_tensor, scale_for, QuantPlan};
 use mersit_tensor::{Rng, Tensor};
 use std::hint::black_box;
 
@@ -26,7 +26,7 @@ fn bench_quantize_tensor(c: &mut Criterion) {
 
 fn bench_calibrate_and_eval(c: &mut Criterion) {
     let mut rng = Rng::new(2);
-    let mut model = vgg_t(8, 10, &mut rng);
+    let model = vgg_t(8, 10, &mut rng);
     let ds = synthetic_images(9, 64, 32, 8);
     let fmt = parse_format("MERSIT(8,2)").expect("valid");
     c.bench_function("calibrate_64_images", |b| {
@@ -35,10 +35,8 @@ fn bench_calibrate_and_eval(c: &mut Criterion) {
     let cal = calibrate(&model, &ds.calib.inputs, 16);
     c.bench_function("quantized_inference_32_images", |b| {
         b.iter(|| {
-            evaluate_format(
-                &mut model,
-                fmt.as_ref(),
-                &cal,
+            QuantPlan::build(&model, fmt.clone(), &cal).predict(
+                &model,
                 black_box(&ds.test.inputs),
                 16,
             )

@@ -57,13 +57,7 @@ fn main() {
             .find(|&v| MacUnit::acc_width_for(&params, v) <= 63)
             .expect("fits at some margin");
         let mac = mac_cost_with_margin(&dec, &stream, 64, v);
-        let r = rmse_report(
-            &mut model,
-            &cal,
-            &fmt,
-            &ds.test.inputs.slice_outer(0, 48),
-            24,
-        );
+        let r = rmse_report(&model, &cal, &fmt, &ds.test.inputs.slice_outer(0, 48), 24);
         println!(
             "{:<12} {:>7} {:>7} {:>9.1} {:>10.1} {:>10.2} {:>10.4} {:>10.4}",
             fmt.name(),

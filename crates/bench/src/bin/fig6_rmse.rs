@@ -41,7 +41,7 @@ fn main() {
         for f in formats {
             let fmt = parse_format(f).expect("valid");
             let r = rmse_report(
-                &mut model,
+                &model,
                 &cal,
                 fmt.as_ref(),
                 &ds.test.inputs.slice_outer(0, 64),

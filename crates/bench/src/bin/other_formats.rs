@@ -12,11 +12,10 @@
 
 use mersit_core::parse_format;
 use mersit_nn::models::{efficientnet_b0_t, vgg_t, Model};
-use mersit_nn::{predict, synthetic_images, train_classifier, Ctx, Layer, TrainConfig};
-use mersit_ptq::{
-    calibrate, evaluate_format, quantize_weights_alt, AltAssignment, AltQuant, AltTap, Metric,
-    WeightSnapshot,
+use mersit_nn::{
+    argmax_rows, predict, synthetic_images, train_classifier, Ctx, Layer, PlanWeight, TrainConfig,
 };
+use mersit_ptq::{calibrate, AltQuant, Metric, QuantPlan};
 use mersit_tensor::{Rng, Tensor};
 
 /// The two §2.1 quantizers at the paper's comparison points.
@@ -29,23 +28,26 @@ const BFP8: AltQuant = AltQuant::Bfp {
     group: 16,
 };
 
-fn eval_alt(model: &mut Model, alt: AltQuant, inputs: &Tensor, labels: &[usize]) -> f64 {
-    let assign = AltAssignment::uniform(alt);
-    let snap = WeightSnapshot::capture(model);
-    quantize_weights_alt(model, &assign);
+/// Accuracy with `alt` applied per output channel to every rank-≥2
+/// weight (as forward overrides, so the model is only read) and
+/// tensor-wide to the input and every activation site.
+fn eval_alt(model: &Model, mut alt: AltQuant, inputs: &Tensor, labels: &[usize]) -> f64 {
+    let mut weights = Vec::new();
+    model.net.visit_params_ref("", &mut |_, p| {
+        if p.value.shape().len() >= 2 {
+            weights.push(PlanWeight::plain(alt.apply_per_channel(&p.value)));
+        }
+    });
     let n = inputs.shape()[0];
     let mut preds = Vec::with_capacity(n);
     let mut i = 0;
     while i < n {
         let hi = (i + 50).min(n);
         let x = alt.apply(&inputs.slice_outer(i, hi));
-        let mut tap = AltTap::new(assign.clone());
-        let mut ctx = Ctx::with_tap(&mut tap);
-        let logits = model.net.forward(x, &mut ctx);
-        preds.extend(mersit_nn::argmax_rows(&logits));
+        let mut ctx = Ctx::with_tap(&mut alt).with_overrides(&weights);
+        preds.extend(argmax_rows(&model.net.forward_ref(x, &mut ctx)));
         i = hi;
     }
-    snap.restore(model);
     Metric::Accuracy.score(&preds, labels)
 }
 
@@ -77,12 +79,12 @@ fn main() {
         let fp32_preds = predict(&mut model.net, &ds.test.inputs, 50);
         let fp32 = Metric::Accuracy.score(&fp32_preds, &ds.test.labels);
         let fp84 = {
-            let fmt = parse_format("FP(8,4)").expect("valid");
-            let preds = evaluate_format(&mut model, fmt.as_ref(), &cal, &ds.test.inputs, 50);
+            let plan = QuantPlan::build(&model, parse_format("FP(8,4)").expect("valid"), &cal);
+            let preds = plan.predict(&model, &ds.test.inputs, 50);
             Metric::Accuracy.score(&preds, &ds.test.labels)
         };
-        let af = eval_alt(&mut model, ADAPTIVFLOAT, &ds.test.inputs, &ds.test.labels);
-        let bfp = eval_alt(&mut model, BFP8, &ds.test.inputs, &ds.test.labels);
+        let af = eval_alt(&model, ADAPTIVFLOAT, &ds.test.inputs, &ds.test.labels);
+        let bfp = eval_alt(&model, BFP8, &ds.test.inputs, &ds.test.labels);
         println!("{name:<20} {fp32:>7.1} {fp84:>9.1} {af:>13.1} {bfp:>9.1}");
     }
     println!();

@@ -13,13 +13,12 @@
 //! measured buffers are identical either way: instrumentation only
 //! observes.
 //!
-//! The run also times the **full PTQ format sweep** both ways — the
-//! legacy serial string-path executor (snapshot → mutate → restore per
-//! format) against the compiled [`QuantPlan`] sweep, which walks formats
-//! in order and fans each one's batch shards and nested GEMMs out across
-//! the work-stealing pool — asserts the predictions are bit-identical,
-//! and records both wall-clocks under the `"sweep"` key of
-//! `BENCH_ptq.json`.
+//! The run also times the **full PTQ format sweep** through compiled
+//! [`QuantPlan`]s, which walks formats in order and fans each one's
+//! batch shards and nested GEMMs out across the work-stealing pool, and
+//! records the wall-clocks (total and per format) under the `"sweep"`
+//! key of `BENCH_ptq.json`. Comparing runs at different
+//! `MERSIT_THREADS` settings shows how the sweep scales with the pool.
 //!
 //! With `--repeat R` the whole measurement runs `R` times and the JSON
 //! reports the **median** of every rate and the **min** of every
@@ -28,8 +27,7 @@
 
 use mersit_core::{quantize_slice_scalar, table2_formats, Format, FormatRef, QuantLut};
 use mersit_nn::models::{mobilenet_v3_t, vgg_t};
-use mersit_nn::Model;
-use mersit_ptq::{calibrate, evaluate_format, QuantPlan};
+use mersit_ptq::{calibrate, QuantPlan};
 use mersit_tensor::{gemm, par, qgemm, Rng, Tensor};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -88,20 +86,16 @@ pub struct PerfRow {
 pub struct FormatSweep {
     /// Format name.
     pub format: String,
-    /// Serial leg seconds for this format (legacy executor).
-    pub serial_secs: f64,
-    /// Parallel leg seconds for this format (plan build + predict, all
-    /// pool parallelism inside the format).
-    pub parallel_secs: f64,
+    /// Plan build + predict seconds for this format (all pool
+    /// parallelism inside the format).
+    pub plan_secs: f64,
 }
 
-/// Serial-vs-parallel wall-clock of the full PTQ format sweep — the
-/// before (string-path executor, one format at a time) and after
-/// (compiled `QuantPlan`s sharing one read-only model) of the
-/// plan refactor.
+/// Wall-clock of the full PTQ format sweep through compiled
+/// `QuantPlan`s sharing one read-only model.
 #[derive(Debug, Clone)]
 pub struct SweepBench {
-    /// Models swept (each contributes to both legs).
+    /// Models swept.
     pub models: Vec<String>,
     /// Number of formats in the sweep grid.
     pub formats: usize,
@@ -110,36 +104,23 @@ pub struct SweepBench {
     /// Threads actually used: the persistent pool's size (workers +
     /// dispatcher), not just the requested `MERSIT_THREADS`.
     pub threads: usize,
-    /// Serial leg: legacy `evaluate_format` loop, summed over models.
-    pub serial_string_path_secs: f64,
-    /// Parallel leg: `QuantPlan` sweep (formats in order, pool
-    /// parallelism inside each), summed over models.
-    pub parallel_plan_secs: f64,
-    /// `serial / parallel`.
-    pub speedup: f64,
-    /// Median serial-leg seconds across repeats (equals
-    /// `serial_string_path_secs` for a single run).
-    pub serial_secs_median: f64,
-    /// Median parallel-leg seconds across repeats (equals
-    /// `parallel_plan_secs` for a single run).
-    pub parallel_secs_median: f64,
+    /// Sweep seconds (formats in order, pool parallelism inside each),
+    /// summed over models.
+    pub plan_secs: f64,
+    /// Median sweep seconds across repeats (equals `plan_secs` for a
+    /// single run).
+    pub plan_secs_median: f64,
     /// Per-format wall-clock breakdown (summed over models).
     pub per_format: Vec<FormatSweep>,
 }
 
-/// Times the PTQ format sweep serially (legacy mutate-and-restore
-/// executor) and in parallel (compiled plans over a shared `&Model`),
-/// asserting along the way that both produce bit-identical predictions
-/// for every format × model pair.
+/// Times the PTQ format sweep through compiled plans over a shared
+/// `&Model`, one format after another.
 ///
 /// `quick` shrinks the grid (4 formats, smaller images/sample counts)
 /// for CI smoke runs. Untrained zoo weights are fine here: the sweep
-/// exercises exactly the same code paths and the comparison is on
-/// predictions and wall-clock, not accuracy.
-///
-/// # Panics
-///
-/// Panics if the two executors disagree on any prediction.
+/// exercises exactly the same code paths and the measurement is
+/// wall-clock, not accuracy.
 pub fn run_sweep_bench(quick: bool) -> SweepBench {
     let _span = mersit_obs::span("bench.sweep");
     let mut formats: Vec<FormatRef> = table2_formats();
@@ -153,73 +134,33 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
     };
     let threads = par::pool_size();
     let mut rng = Rng::new(0xBE7C);
-    let mut models = [vgg_t(hw, 10, &mut rng), mobilenet_v3_t(hw, 10, &mut rng)];
+    let models = [vgg_t(hw, 10, &mut rng), mobilenet_v3_t(hw, 10, &mut rng)];
     let calib = Tensor::randn(&[calib_n, 3, hw, hw], 1.0, &mut rng);
     let inputs = Tensor::randn(&[samples, 3, hw, hw], 1.0, &mut rng);
 
-    let mut serial_secs = 0.0f64;
-    let mut parallel_secs = 0.0f64;
+    let mut plan_secs = 0.0f64;
     let mut per_format: Vec<FormatSweep> = formats
         .iter()
         .map(|f| FormatSweep {
             format: f.name(),
-            serial_secs: 0.0,
-            parallel_secs: 0.0,
+            plan_secs: 0.0,
         })
         .collect();
-    for model in &mut models {
+    for model in &models {
         let cal = calibrate(model, &calib, batch);
-        let serial_preds: Vec<Vec<usize>> = {
-            let _leg = mersit_obs::span("bench.sweep.serial");
-            let t0 = Instant::now();
-            let preds = formats
-                .iter()
-                .zip(&mut per_format)
-                .map(|(fmt, pf)| {
-                    let f0 = Instant::now();
-                    let preds = evaluate_format(model, fmt.as_ref(), &cal, &inputs, batch);
-                    pf.serial_secs += f0.elapsed().as_secs_f64();
-                    preds
-                })
-                .collect();
-            serial_secs += t0.elapsed().as_secs_f64();
-            preds
-        };
         // Formats run in order; all pool parallelism lives inside each
         // format (batch shards → nested GEMM tiles), so the per-format
         // wall-clock is a clean latency number, not a time-sliced share
         // of the machine.
-        let parallel_preds: Vec<(Vec<usize>, f64)> = {
-            let _leg = mersit_obs::span("bench.sweep.parallel");
-            let t0 = Instant::now();
-            let shared: &Model = model;
-            let preds = formats
-                .iter()
-                .map(|fmt| {
-                    let s0 = Instant::now();
-                    let plan = QuantPlan::build(shared, fmt.clone(), &cal);
-                    let preds = plan.predict(shared, &inputs, batch);
-                    (preds, s0.elapsed().as_secs_f64())
-                })
-                .collect();
-            parallel_secs += t0.elapsed().as_secs_f64();
-            preds
-        };
-        for (((fmt, s), (p, secs)), pf) in formats
-            .iter()
-            .zip(&serial_preds)
-            .zip(&parallel_preds)
-            .zip(&mut per_format)
-        {
-            pf.parallel_secs += secs;
-            assert_eq!(
-                s,
-                p,
-                "executor mismatch for {} on {}",
-                fmt.name(),
-                model.name
-            );
+        let _leg = mersit_obs::span("bench.sweep.parallel");
+        let t0 = Instant::now();
+        for (fmt, pf) in formats.iter().zip(&mut per_format) {
+            let s0 = Instant::now();
+            let plan = QuantPlan::build(model, fmt.clone(), &cal);
+            black_box(plan.predict(model, &inputs, batch));
+            pf.plan_secs += s0.elapsed().as_secs_f64();
         }
+        plan_secs += t0.elapsed().as_secs_f64();
     }
 
     let bench = SweepBench {
@@ -227,21 +168,16 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
         formats: formats.len(),
         samples,
         threads,
-        serial_string_path_secs: serial_secs,
-        parallel_plan_secs: parallel_secs,
-        speedup: serial_secs / parallel_secs,
-        serial_secs_median: serial_secs,
-        parallel_secs_median: parallel_secs,
+        plan_secs,
+        plan_secs_median: plan_secs,
         per_format,
     };
     println!(
-        "sweep ({} models x {} formats, {} samples): serial {:.3}s, parallel {:.3}s, {:.2}x ({} threads)",
+        "sweep ({} models x {} formats, {} samples): {:.3}s ({} threads)",
         bench.models.len(),
         bench.formats,
         bench.samples,
-        bench.serial_string_path_secs,
-        bench.parallel_plan_secs,
-        bench.speedup,
+        bench.plan_secs,
         bench.threads
     );
     bench
@@ -478,7 +414,7 @@ pub fn run_qgemm_bench() -> Vec<QgemmRow> {
 }
 
 /// One full measurement pass: quantization throughput rows, GEMM
-/// throughput rows, and the serial-vs-parallel sweep wall-clocks.
+/// throughput rows, and the PTQ sweep wall-clocks.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// Per-format quantization throughput along the three paths.
@@ -487,7 +423,7 @@ pub struct PerfReport {
     pub gemm: Vec<GemmRow>,
     /// Bit-true integer matmul throughput rows.
     pub qgemm: Vec<QgemmRow>,
-    /// The PTQ sweep serial-vs-parallel comparison.
+    /// The PTQ plan sweep wall-clocks.
     pub sweep: SweepBench,
 }
 
@@ -586,13 +522,13 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// min — the cleanest observation of the actual cost, since noise only
 /// ever adds time.
 fn minimum(xs: Vec<f64>) -> f64 {
-    xs.into_iter().fold(f64::INFINITY, f64::min).min(f64::MAX)
+    xs.into_iter().reduce(f64::min).unwrap_or(0.0)
 }
 
 /// Folds repeated measurements into one report: **median** for every
 /// rate (throughput rows, GEMM MFLOP/s), **min** for every wall-clock
-/// (sweep legs, per-format seconds) with the leg medians kept alongside,
-/// speedups recomputed from the aggregates.
+/// (sweep total, per-format seconds) with the total's median kept
+/// alongside, speedups recomputed from the aggregates.
 ///
 /// # Panics
 ///
@@ -645,20 +581,12 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
             }
         })
         .collect();
-    let serial = minimum(
-        reports
-            .iter()
-            .map(|r| r.sweep.serial_string_path_secs)
-            .collect(),
-    );
-    let parallel = minimum(reports.iter().map(|r| r.sweep.parallel_plan_secs).collect());
     let per_format = (0..first.sweep.per_format.len())
         .map(|i| {
             let fs: Vec<&FormatSweep> = reports.iter().map(|r| &r.sweep.per_format[i]).collect();
             FormatSweep {
                 format: fs[0].format.clone(),
-                serial_secs: minimum(fs.iter().map(|f| f.serial_secs).collect()),
-                parallel_secs: minimum(fs.iter().map(|f| f.parallel_secs).collect()),
+                plan_secs: minimum(fs.iter().map(|f| f.plan_secs).collect()),
             }
         })
         .collect();
@@ -667,16 +595,8 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
         formats: first.sweep.formats,
         samples: first.sweep.samples,
         threads: first.sweep.threads,
-        serial_string_path_secs: serial,
-        parallel_plan_secs: parallel,
-        speedup: serial / parallel,
-        serial_secs_median: median(
-            reports
-                .iter()
-                .map(|r| r.sweep.serial_string_path_secs)
-                .collect(),
-        ),
-        parallel_secs_median: median(reports.iter().map(|r| r.sweep.parallel_plan_secs).collect()),
+        plan_secs: minimum(reports.iter().map(|r| r.sweep.plan_secs).collect()),
+        plan_secs_median: median(reports.iter().map(|r| r.sweep.plan_secs).collect()),
         per_format,
     };
     PerfReport {
@@ -762,33 +682,18 @@ pub fn write_bench_json(report: &PerfReport, n: usize, scale: f64, repeats: usiz
     let _ = writeln!(json, "    \"formats\": {},", sweep.formats);
     let _ = writeln!(json, "    \"samples\": {},", sweep.samples);
     let _ = writeln!(json, "    \"threads\": {},", sweep.threads);
+    let _ = writeln!(json, "    \"plan_secs\": {:.4},", sweep.plan_secs);
     let _ = writeln!(
         json,
-        "    \"serial_string_path_secs\": {:.4},",
-        sweep.serial_string_path_secs
-    );
-    let _ = writeln!(
-        json,
-        "    \"parallel_plan_secs\": {:.4},",
-        sweep.parallel_plan_secs
-    );
-    let _ = writeln!(json, "    \"speedup\": {:.2},", sweep.speedup);
-    let _ = writeln!(
-        json,
-        "    \"serial_secs_median\": {:.4},",
-        sweep.serial_secs_median
-    );
-    let _ = writeln!(
-        json,
-        "    \"parallel_secs_median\": {:.4},",
-        sweep.parallel_secs_median
+        "    \"plan_secs_median\": {:.4},",
+        sweep.plan_secs_median
     );
     json.push_str("    \"per_format\": [\n");
     for (i, pf) in sweep.per_format.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"format\": \"{}\", \"serial_secs\": {:.4}, \"parallel_secs\": {:.4}}}",
-            pf.format, pf.serial_secs, pf.parallel_secs
+            "      {{\"format\": \"{}\", \"plan_secs\": {:.4}}}",
+            pf.format, pf.plan_secs
         );
         json.push_str(if i + 1 < sweep.per_format.len() {
             ",\n"

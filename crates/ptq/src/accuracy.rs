@@ -70,9 +70,9 @@ impl EvalRow {
 /// plan's batch shards and their nested GEMM dispatches fan out across
 /// the global work-stealing pool (`MERSIT_THREADS` sized), which keeps
 /// every core busy on the current format instead of time-slicing cores
-/// across formats — per-format latency matches the serial sweep and the
-/// total scales with the pool. Scores land in format order and are
-/// bit-identical to the serial legacy sweep.
+/// across formats — per-format latency does not grow with the format
+/// count and the total scales with the pool. Scores land in format order
+/// and are bit-identical for every `MERSIT_THREADS` setting.
 ///
 /// The execution engine comes from the `MERSIT_EXECUTOR` environment
 /// variable ([`Executor::from_env`]): `float` (default) fake-quantizes,

@@ -30,9 +30,8 @@ use crate::accuracy::Metric;
 use crate::bittrue::Executor;
 use crate::calibrate::Calibration;
 use crate::executor::QuantPlan;
-use crate::quantizer::{
-    quantize_per_channel, quantize_tensor, relative_rmse, scale_anchor, site_scale,
-};
+use crate::quantizer::{quantize_per_channel, relative_rmse};
+use crate::rmse::RmseTap;
 use mersit_core::{parse_format, FormatRef, InvalidFormatError};
 use mersit_nn::{Ctx, Layer, Model, Site, Tap};
 use mersit_tensor::Tensor;
@@ -312,26 +311,6 @@ impl LayerSensitivity {
     }
 }
 
-struct SensTap<'a> {
-    fmt: &'a dyn mersit_core::Format,
-    anchor: f64,
-    cal: &'a Calibration,
-    err: &'a mut HashMap<String, (f64, u64)>,
-}
-
-impl Tap for SensTap<'_> {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        let Some(s) = site_scale(self.anchor, self.cal.max_for(site.path)) else {
-            return t;
-        };
-        let q = quantize_tensor(self.fmt, &t, s);
-        let e = self.err.entry(site.path.to_owned()).or_insert((0.0, 0));
-        e.0 += relative_rmse(&q, &t);
-        e.1 += 1;
-        q
-    }
-}
-
 /// Measures per-layer quantization sensitivity under `probe` (reusing the
 /// Fig. 6 RMSE machinery): one forward over `inputs` with quantized
 /// activations propagating, plus per-layer weight RMSE. Returned in
@@ -351,14 +330,14 @@ pub fn layer_sensitivity(
     let mut i = 0;
     while i < n {
         let hi = (i + batch.max(1)).min(n);
-        let mut tap = SensTap {
-            fmt: probe.as_ref(),
-            anchor: scale_anchor(probe.as_ref()),
-            cal,
-            err: &mut err,
-        };
-        let mut ctx = Ctx::with_tap(&mut tap);
-        let _ = model.net.forward_ref(inputs.slice_outer(i, hi), &mut ctx);
+        let mut tap = RmseTap::new(probe.as_ref(), cal, |path, e| {
+            let acc = err.entry(path.to_owned()).or_insert((0.0, 0));
+            acc.0 += e;
+            acc.1 += 1;
+        });
+        let _ = model
+            .net
+            .forward_ref(inputs.slice_outer(i, hi), &mut Ctx::with_tap(&mut tap));
         i = hi;
     }
     let mut out = Vec::new();

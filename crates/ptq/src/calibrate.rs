@@ -184,7 +184,7 @@ mod tests {
 #[cfg(test)]
 mod consistency_tests {
     use super::*;
-    use crate::executor::QuantTap;
+    use crate::executor::{PlanTap, QuantPlan};
     use mersit_core::parse_format;
     use mersit_nn::models::mobilenet_v3_t;
     use mersit_tensor::Rng;
@@ -192,11 +192,13 @@ mod consistency_tests {
 
     /// The quantized-inference tap must visit exactly the same activation
     /// sites the calibration tap recorded — otherwise scales silently
-    /// go unused / unseen sites stay unquantized.
+    /// go unused / unseen sites stay unquantized. The spy wraps the plan
+    /// tap in the compiled, weight-overriding context that serves
+    /// traffic.
     #[test]
     fn quantized_inference_visits_calibrated_sites() {
         struct Spy<'a> {
-            inner: QuantTap<'a>,
+            inner: PlanTap<'a>,
             seen: BTreeSet<String>,
         }
         impl Tap for Spy<'_> {
@@ -209,13 +211,14 @@ mod consistency_tests {
         let model = mobilenet_v3_t(8, 10, &mut rng);
         let x = Tensor::randn(&[4, 3, 8, 8], 1.0, &mut rng);
         let cal = calibrate(&model, &x, 2);
-        let fmt = parse_format("MERSIT(8,2)").unwrap();
+        let plan = QuantPlan::build(&model, parse_format("MERSIT(8,2)").unwrap(), &cal);
         let mut spy = Spy {
-            inner: QuantTap::new(fmt.as_ref(), &cal),
+            inner: plan.tap(),
             seen: BTreeSet::new(),
         };
-        let mut ctx = Ctx::with_tap(&mut spy);
+        let mut ctx = Ctx::compiled(&plan.sites, &mut spy).with_overrides(&plan.weights);
         let _ = model.net.forward_ref(x, &mut ctx);
+        assert_eq!(ctx.overrides_consumed(), plan.num_weight_slots());
         let calibrated: BTreeSet<String> = cal.sites().iter().map(|(_, p)| p.to_owned()).collect();
         assert_eq!(spy.seen, calibrated, "tap site mismatch");
         assert!(spy.seen.len() > 20, "nontrivial site count");

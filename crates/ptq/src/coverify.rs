@@ -31,9 +31,8 @@
 use crate::assign::FormatAssignment;
 use crate::bittrue::Executor;
 use crate::calibrate::Calibration;
-use crate::executor::{quantize_site, QuantPlan};
+use crate::executor::{PlanTap, QuantPlan};
 use crate::quantizer::quantize_tensor;
-use mersit_core::FormatRef;
 use mersit_nn::{argmax_rows, Ctx, Layer, Model, Site, Tap};
 use mersit_tensor::Tensor;
 
@@ -115,15 +114,14 @@ struct SiteAgg {
 /// activation, then quantizes exactly as the plan tap would — through the
 /// format each site resolves to under the plan's assignment.
 struct RecordTap<'a> {
-    fmts: &'a [FormatRef],
-    scales: &'a [Option<f64>],
+    plan: PlanTap<'a>,
     recorded: Vec<Tensor>,
 }
 
 impl Tap for RecordTap<'_> {
     fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
         self.recorded.push(t.clone());
-        quantize_site(self.fmts[site.id.index()].as_ref(), self.scales, site, t)
+        self.plan.activation(site, t)
     }
 }
 
@@ -131,8 +129,7 @@ impl Tap for RecordTap<'_> {
 /// float pass's recording (same visit order — the site table is the
 /// contract), then quantizes identically.
 struct CompareTap<'a> {
-    fmts: &'a [FormatRef],
-    scales: &'a [Option<f64>],
+    plan: PlanTap<'a>,
     recorded: &'a [Tensor],
     next: usize,
     aggs: &'a mut [SiteAgg],
@@ -158,7 +155,7 @@ impl Tap for CompareTap<'_> {
         agg.elems += t.data().len() as u64;
         agg.max_abs = agg.max_abs.max(visit_max);
         mersit_obs::observe_dyn(|| format!("ptq.coverify.site.{}", site.path), visit_max);
-        quantize_site(self.fmts[site.id.index()].as_ref(), self.scales, site, t)
+        self.plan.activation(site, t)
     }
 }
 
@@ -199,8 +196,7 @@ pub fn coverify(
         };
 
         let mut rec = RecordTap {
-            fmts: &float_plan.site_fmts,
-            scales: &float_plan.scales,
+            plan: float_plan.tap(),
             recorded: Vec::new(),
         };
         let mut ctx =
@@ -209,8 +205,7 @@ pub fn coverify(
         let recorded = rec.recorded;
 
         let mut cmp = CompareTap {
-            fmts: &bt_plan.site_fmts,
-            scales: &bt_plan.scales,
+            plan: bt_plan.tap(),
             recorded: &recorded,
             next: 0,
             aggs: &mut aggs,

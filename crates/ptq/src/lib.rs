@@ -60,12 +60,8 @@ pub use assign::{
 pub use bittrue::{dot_bit_true, Executor, QuantGemm, WideAcc};
 pub use calibrate::{calibrate, Calibration, INPUT_PATH};
 pub use coverify::{coverify, DivergenceReport, SiteDivergence};
-pub use executor::{
-    evaluate_format, predict_quantized, quantize_weights, QuantPlan, QuantTap, WeightSnapshot,
-};
-pub use other_formats::{
-    quantize_adaptivfloat, quantize_bfp, quantize_weights_alt, AltAssignment, AltQuant, AltTap,
-};
+pub use executor::QuantPlan;
+pub use other_formats::{quantize_adaptivfloat, quantize_bfp, AltQuant};
 pub use quantizer::{
     channel_max_abs, quantize_per_channel, quantize_slice, quantize_tensor, relative_rmse,
     scale_anchor, scale_for, site_scale,

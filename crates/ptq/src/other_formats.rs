@@ -6,13 +6,14 @@
 //! This module implements both so that claim can be *measured* (see the
 //! `other_formats` bench binary) instead of assumed.
 //!
-//! Like the main pipeline's [`crate::FormatAssignment`], the §2.1
-//! quantizers are per-layer assignable: [`AltAssignment`] maps layer
-//! paths to an [`AltQuant`] choice (or FP32 pass-through) with the same
-//! longest-dotted-prefix resolution, and [`AltTap`] /
-//! [`quantize_weights_alt`] apply it to activations and weights.
+//! Both compute their scales at run time (per tensor, per element
+//! group), so they are not [`crate::FormatAssignment`] kinds. An
+//! [`AltQuant`] runs through the same shared-reference forward a
+//! [`crate::QuantPlan`] uses: [`AltQuant::apply_per_channel`] produces
+//! the weight overrides, and the quantizer itself is the activation
+//! [`Tap`].
 
-use mersit_nn::{Layer, Model, Site, Tap};
+use mersit_nn::{Site, Tap};
 use mersit_tensor::Tensor;
 
 /// AdaptivFloat quantization: sign + `exp_bits` exponent + `frac_bits`
@@ -153,90 +154,11 @@ impl AltQuant {
     }
 }
 
-/// A per-layer map over the §2.1 quantizers, mirroring
-/// [`crate::FormatAssignment`]: every layer uses `default` unless an
-/// override's path is a dotted prefix (`None` = leave that layer FP32).
-#[derive(Debug, Clone)]
-pub struct AltAssignment {
-    default: AltQuant,
-    overrides: Vec<(String, Option<AltQuant>)>,
-}
-
-impl AltAssignment {
-    /// Every layer quantizes through `default`.
-    #[must_use]
-    pub fn uniform(default: AltQuant) -> Self {
-        Self {
-            default,
-            overrides: Vec::new(),
-        }
+/// As an activation tap, the quantizer applies tensor-wide at every site.
+impl Tap for AltQuant {
+    fn activation(&mut self, _site: Site<'_>, t: Tensor) -> Tensor {
+        self.apply(&t)
     }
-
-    /// Overrides a layer (or parameter) path to `alt` — `None` leaves it
-    /// in FP32. Replaces any previous override for the same path.
-    #[must_use]
-    pub fn with_override(mut self, path: impl Into<String>, alt: Option<AltQuant>) -> Self {
-        let path = path.into();
-        self.overrides.retain(|(p, _)| *p != path);
-        self.overrides.push((path, alt));
-        self.overrides.sort_by(|a, b| a.0.cmp(&b.0));
-        self
-    }
-
-    /// Resolves the quantizer for a path: longest dotted-prefix override
-    /// wins, otherwise the default. `None` = pass through in FP32.
-    #[must_use]
-    pub fn alt_for(&self, path: &str) -> Option<AltQuant> {
-        let mut best: Option<&(String, Option<AltQuant>)> = None;
-        for ov in &self.overrides {
-            let (p, _) = ov;
-            let is_prefix = path == p
-                || (path.len() > p.len()
-                    && path.starts_with(p.as_str())
-                    && path.as_bytes()[p.len()] == b'.');
-            if is_prefix && best.is_none_or(|(bp, _)| p.len() > bp.len()) {
-                best = Some(ov);
-            }
-        }
-        best.map_or(Some(self.default), |(_, a)| *a)
-    }
-}
-
-/// An activation tap applying an [`AltAssignment`] at every site.
-#[derive(Debug, Clone)]
-pub struct AltTap {
-    assign: AltAssignment,
-}
-
-impl AltTap {
-    /// Tap over the given assignment.
-    #[must_use]
-    pub fn new(assign: AltAssignment) -> Self {
-        Self { assign }
-    }
-}
-
-impl Tap for AltTap {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
-        match self.assign.alt_for(site.path) {
-            Some(alt) => alt.apply(&t),
-            None => t,
-        }
-    }
-}
-
-/// Quantizes every rank-≥2 parameter in place through the assignment's
-/// per-layer quantizer choice (per output channel, like the main
-/// pipeline); rank-1 parameters and `None`-assigned layers stay FP32.
-/// Snapshot/restore with [`crate::WeightSnapshot`] around it.
-pub fn quantize_weights_alt(model: &mut Model, assign: &AltAssignment) {
-    model.net.visit_params("", &mut |path, p| {
-        if p.value.shape().len() >= 2 {
-            if let Some(alt) = assign.alt_for(path) {
-                p.value = alt.apply_per_channel(&p.value);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -244,25 +166,6 @@ mod tests {
     use super::*;
     use crate::quantizer::relative_rmse;
     use mersit_tensor::Rng;
-
-    #[test]
-    fn alt_assignment_resolves_like_format_assignment() {
-        let af = AltQuant::AdaptivFloat {
-            exp_bits: 4,
-            frac_bits: 3,
-        };
-        let bfp = AltQuant::Bfp {
-            mant_bits: 7,
-            group: 16,
-        };
-        let a = AltAssignment::uniform(af)
-            .with_override("0_conv", Some(bfp))
-            .with_override("2_linear", None);
-        assert_eq!(a.alt_for("0_conv.w"), Some(bfp));
-        assert_eq!(a.alt_for("0_convx"), Some(af));
-        assert_eq!(a.alt_for("2_linear"), None);
-        assert_eq!(a.alt_for("1_bn"), Some(af));
-    }
 
     #[test]
     fn alt_quant_apply_matches_free_functions() {

@@ -54,10 +54,9 @@ pub fn quantize_slice(fmt: &dyn Format, xs: &mut [f32], scale: f64) {
 /// Per-site activation scale: `Some(max_abs / anchor)` when the site was
 /// observed (positive maximum), `None` for unseen sites, which must pass
 /// through unquantized. This is the **single** definition of the
-/// activation scale — the calibrated executor taps, the compiled
-/// [`crate::executor::QuantPlan`], and the input quantization in
-/// [`crate::executor::predict_quantized`] all go through it, so they can
-/// never drift apart.
+/// activation scale — the compiled [`crate::executor::QuantPlan`] (site
+/// and input scales) and the RMSE / sensitivity taps all go through it,
+/// so they can never drift apart.
 #[must_use]
 pub fn site_scale(anchor: f64, max_abs: f32) -> Option<f64> {
     (max_abs > 0.0).then(|| f64::from(max_abs) / anchor)

@@ -1,9 +1,10 @@
 //! Bit-identity contract of the assignment refactor: a *uniform*
-//! [`FormatAssignment`] — whether written as the `From<FormatRef>` sugar
-//! or as an explicit assignment that redundantly overrides every single
-//! parameter path to the same format — must be bit-for-bit identical to
-//! the historical single-format plan, for every Table-2 format, on both
-//! executors, at pool sizes 1, 2 and 7.
+//! [`FormatAssignment`] written as the `From<FormatRef>` sugar and one
+//! that redundantly overrides every single parameter path to the same
+//! format must predict bit-for-bit identically, for every Table-2
+//! format, on both executors, at pool sizes 1, 2 and 7. (The outputs of
+//! the uniform plans themselves are pinned by the golden logit digests
+//! in `tests/golden/plan_logits.txt`.)
 //!
 //! The thread sweep reuses the `pool_stress` idiom: `MERSIT_THREADS` is
 //! a process-global latch, so the sweep lives in one `#[test]` and
@@ -12,7 +13,7 @@
 use mersit_core::table2_formats;
 use mersit_nn::models::vgg_t;
 use mersit_nn::Layer;
-use mersit_ptq::{calibrate, evaluate_format, Executor, FormatAssignment, QuantPlan};
+use mersit_ptq::{calibrate, Executor, FormatAssignment, QuantPlan};
 use mersit_tensor::{pool, Rng, Tensor};
 
 #[test]
@@ -23,7 +24,7 @@ fn uniform_assignment_is_bit_identical_across_formats_executors_threads() {
         std::env::set_var("MERSIT_THREADS", threads.to_string());
         pool::shutdown(); // re-latch the pool at the new size
         let mut rng = Rng::new(0xA55 ^ threads as u64);
-        let mut model = vgg_t(8, 10, &mut rng);
+        let model = vgg_t(8, 10, &mut rng);
         let calib = Tensor::randn(&[6, 3, 8, 8], 1.0, &mut rng);
         // 10 samples at batch 4: an uneven final shard in predict.
         let inputs = Tensor::randn(&[10, 3, 8, 8], 1.0, &mut rng);
@@ -37,23 +38,12 @@ fn uniform_assignment_is_bit_identical_across_formats_executors_threads() {
         assert!(param_paths.len() > 4, "vgg_t has several parameters");
 
         for fmt in &formats {
-            // Leg 1 (float only): the sugar plan matches the legacy
-            // weight-mutating executor exactly.
-            let legacy = evaluate_format(&mut model, fmt.as_ref(), &cal, &inputs, 4);
             for executor in [Executor::Float, Executor::BitTrue] {
                 let sugar = QuantPlan::build_with(&model, fmt.clone(), &cal, executor);
                 assert!(sugar.assignment().is_uniform());
                 let sugar_preds = sugar.predict(&model, &inputs, 4);
-                if executor == Executor::Float {
-                    assert_eq!(
-                        legacy,
-                        sugar_preds,
-                        "{} diverged from legacy at {threads} threads",
-                        fmt.name()
-                    );
-                }
-                // Leg 2 (both executors): redundantly overriding every
-                // parameter path to the same format changes nothing.
+                // Redundantly overriding every parameter path to the same
+                // format changes nothing.
                 let mut redundant = FormatAssignment::uniform(fmt.clone());
                 for p in &param_paths {
                     redundant = redundant.with_override(p.clone(), fmt.clone());

@@ -85,9 +85,9 @@ fn rmse_ordering_matches_fig6() {
     train_classifier(&mut model.net, &ds.train, &quick_cfg(3));
     let cal = calibrate(&model, &ds.calib.inputs, 32);
     let sample = ds.test.inputs.slice_outer(0, 32);
-    let mut rep = |n: &str| {
+    let rep = |n: &str| {
         let fmt = parse_format(n).unwrap();
-        rmse_report(&mut model, &cal, fmt.as_ref(), &sample, 16)
+        rmse_report(&model, &cal, fmt.as_ref(), &sample, 16)
     };
     let me = rep("MERSIT(8,2)");
     let po = rep("Posit(8,1)");
