@@ -79,6 +79,25 @@ pub struct PerfRow {
     pub lut: f64,
     /// LUT with thread fan-out.
     pub lut_threads: f64,
+    /// Median `QuantLut::build` wall-clock at the table's scale, in µs:
+    /// the fixed cost a slice pays before the LUT rate applies.
+    pub lut_build_us: f64,
+}
+
+/// Builds per measured `QuantLut::build` median.
+const LUT_BUILDS: usize = 201;
+
+/// Median wall-clock of one `QuantLut::build` of `fmt` at `scale`, in µs.
+fn lut_build_us(fmt: &dyn Format, scale: f64) -> f64 {
+    let spec = fmt.quant_spec();
+    let samples = (0..LUT_BUILDS)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(QuantLut::build(black_box(&spec), black_box(scale)));
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    median(samples)
 }
 
 /// One format's wall-clock contribution to the sweep, summed over models.
@@ -454,8 +473,8 @@ pub fn measure_perf_ptq(n: usize, quick: bool) -> PerfReport {
         mersit_core::simd_level()
     );
     println!(
-        "{:<14} {:>14} {:>14} {:>14} {:>8} {:>10}",
-        "format", "scalar el/s", "lut el/s", "lut+thr el/s", "lut x", "thr x"
+        "{:<14} {:>14} {:>14} {:>14} {:>8} {:>10} {:>9}",
+        "format", "scalar el/s", "lut el/s", "lut+thr el/s", "lut x", "thr x", "build us"
     );
 
     let mut rows = Vec::new();
@@ -479,20 +498,23 @@ pub fn measure_perf_ptq(n: usize, quick: bool) -> PerfReport {
                 par::par_chunks_mut(buf, 1, par::min_units(8), |_, chunk| lut.apply(chunk));
             })
         };
+        let build_us = lut_build_us(fmt, scale);
         println!(
-            "{:<14} {:>14.3e} {:>14.3e} {:>14.3e} {:>7.1}x {:>9.1}x",
+            "{:<14} {:>14.3e} {:>14.3e} {:>14.3e} {:>7.1}x {:>9.1}x {:>9.1}",
             fmt.name(),
             scalar,
             lut_rate,
             thr_rate,
             lut_rate / scalar,
-            thr_rate / scalar
+            thr_rate / scalar,
+            build_us
         );
         rows.push(PerfRow {
             format: fmt.name(),
             scalar,
             lut: lut_rate,
             lut_threads: thr_rate,
+            lut_build_us: build_us,
         });
     }
 
@@ -526,7 +548,8 @@ fn minimum(xs: Vec<f64>) -> f64 {
 }
 
 /// Folds repeated measurements into one report: **median** for every
-/// rate (throughput rows, GEMM MFLOP/s), **min** for every wall-clock
+/// rate (throughput rows, GEMM MFLOP/s) and for the per-format LUT build
+/// time (already a median of many builds), **min** for every wall-clock
 /// (sweep total, per-format seconds) with the total's median kept
 /// alongside, speedups recomputed from the aggregates.
 ///
@@ -544,6 +567,7 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
                 scalar: median(rs.iter().map(|r| r.scalar).collect()),
                 lut: median(rs.iter().map(|r| r.lut).collect()),
                 lut_threads: median(rs.iter().map(|r| r.lut_threads).collect()),
+                lut_build_us: median(rs.iter().map(|r| r.lut_build_us).collect()),
             }
         })
         .collect();
@@ -627,13 +651,14 @@ pub fn write_bench_json(report: &PerfReport, n: usize, scale: f64, repeats: usiz
             json,
             "    {{\"format\": \"{}\", \"scalar_elems_per_sec\": {:.4e}, \
              \"lut_elems_per_sec\": {:.4e}, \"lut_threads_elems_per_sec\": {:.4e}, \
-             \"lut_speedup\": {:.2}, \"threads_speedup\": {:.2}}}",
+             \"lut_speedup\": {:.2}, \"threads_speedup\": {:.2}, \"lut_build_us\": {:.2}}}",
             r.format,
             r.scalar,
             r.lut,
             r.lut_threads,
             r.lut / r.scalar,
-            r.lut_threads / r.scalar
+            r.lut_threads / r.scalar,
+            r.lut_build_us
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

@@ -4,7 +4,7 @@
 
 use crate::fields::{Decoded, ValueClass};
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How values below the smallest representable positive magnitude round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -153,17 +153,106 @@ pub enum TieRule {
     EvenCode,
 }
 
-/// Shared table-driven encoder: the sorted positive-magnitude lattice of a
-/// format together with rounding rules.
+/// Shared table-driven codec: the sorted positive-magnitude lattice of a
+/// format together with rounding rules, plus the per-code decode table of
+/// formats at most 8 bits wide.
 ///
-/// Formats build this once (from their own `decode`) and answer `encode`
-/// queries via binary search, which keeps `encode` and `decode` consistent
-/// by construction.
+/// Formats build this once from their own computed `decode`, which keeps
+/// `encode` and `decode` consistent by construction. `encode` queries go
+/// through a value-space bucket index and a short search of one bucket;
+/// `decode` of a narrow format is one table load. Both tables are built
+/// on first use, so a format that is parsed but never encodes or decodes
+/// (a queued request's assignment) costs no more than before.
 #[derive(Debug, Clone)]
 pub struct EncodeTable {
     points: Arc<[LatticePoint]>,
     tie: TieRule,
     underflow: UnderflowPolicy,
+    /// Codes the per-code decode table covers: `2^bits` for formats at
+    /// most [`DECODE_TABLE_MAX_BITS`] wide; 0 for wider formats and while
+    /// the format is under construction, which decode by computation.
+    table_codes: usize,
+    /// `decode(code)` for every code, filled from the computed decode on
+    /// first use.
+    decoded: OnceLock<Arc<[f64]>>,
+    /// The bucket index behind [`EncodeTable::round_positive`].
+    index: OnceLock<Arc<LatticeIndex>>,
+}
+
+/// Widest format that gets a per-code decode table (`2^bits` entries).
+const DECODE_TABLE_MAX_BITS: u32 = 8;
+
+/// Most entries a [`LatticeIndex`] may hold. Narrow formats stay far
+/// below it; wide ones trade finer buckets for a bounded table.
+const INDEX_MAX_BUCKETS: u64 = 1 << 14;
+
+/// Value-space bucket index over a lattice: positive `f64`s are ordered
+/// like their bit patterns, so the exponent and top `52 − shift` mantissa
+/// bits of `x` name a bucket, and `first` records which lattice points
+/// each bucket holds.
+#[derive(Debug)]
+struct LatticeIndex {
+    /// The lattice magnitudes, ascending, contiguous.
+    values: Box<[f64]>,
+    /// `first[b]` is the index of the first magnitude at or above bucket
+    /// `b`'s lower edge; one terminal entry past the last bucket.
+    first: Box<[u16]>,
+    /// Bits dropped from `x.to_bits()` to form its bucket key.
+    shift: u32,
+    /// Key of the smallest magnitude: bucket 0.
+    base: u64,
+}
+
+impl LatticeIndex {
+    fn build(points: &[LatticePoint]) -> Self {
+        let values: Box<[f64]> = points.iter().map(|p| p.value).collect();
+        let (lo, hi) = (values[0].to_bits(), values[values.len() - 1].to_bits());
+        // One bucket per step of the finest fraction grid puts at most one
+        // magnitude in each bucket; coarsen while the table would be too big.
+        let mut mant_bits = points
+            .iter()
+            .map(|p| p.frac_bits)
+            .max()
+            .unwrap_or(0)
+            .min(52);
+        while mant_bits > 0
+            && (hi >> (52 - mant_bits)) - (lo >> (52 - mant_bits)) >= INDEX_MAX_BUCKETS
+        {
+            mant_bits -= 1;
+        }
+        let shift = 52 - mant_bits;
+        let base = lo >> shift;
+        let buckets = ((hi >> shift) - base) as usize + 1;
+        let pos = |i: usize| u16::try_from(i).expect("lattice fits u16 indices");
+        // `first[b]` is the first magnitude whose key reaches `b`: one
+        // merge pass, filling the buckets up to each magnitude's own.
+        let mut first = Vec::with_capacity(buckets + 1);
+        for (i, v) in values.iter().enumerate() {
+            let key = ((v.to_bits() >> shift) - base) as usize;
+            if first.len() <= key {
+                first.resize(key + 1, pos(i));
+            }
+        }
+        first.resize(buckets + 1, pos(values.len()));
+        Self {
+            values,
+            first: first.into(),
+            shift,
+            base,
+        }
+    }
+
+    /// The index of the first magnitude `>= x`, for `x` strictly between
+    /// the smallest and the largest magnitude — the same index
+    /// `partition_point(|v| v < x)` over the whole lattice returns: every
+    /// magnitude before bucket `b` is below `x`, and every one from
+    /// bucket `b + 1` on is above it.
+    #[inline]
+    fn first_at_least(&self, x: f64) -> usize {
+        let b = ((x.to_bits() >> self.shift) - self.base) as usize;
+        let (lo, end) = (usize::from(self.first[b]), usize::from(self.first[b + 1]));
+        lo + self.values[lo..end].partition_point(|&v| v < x)
+    }
 }
 
 impl EncodeTable {
@@ -175,6 +264,9 @@ impl EncodeTable {
             points: Vec::new().into(),
             tie: TieRule::EvenFraction,
             underflow: UnderflowPolicy::FlushToZero,
+            table_codes: 0,
+            decoded: OnceLock::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -187,19 +279,19 @@ impl EncodeTable {
     /// would indicate a broken format implementation.
     #[must_use]
     pub fn build(fmt: &dyn Format, tie: TieRule, underflow: UnderflowPolicy) -> Self {
-        let mut points = Vec::new();
+        let codes = fmt.codes().len();
+        // The sign bit leaves at most half the codes positive.
+        let mut points = Vec::with_capacity(codes / 2);
         for code in fmt.codes() {
             let code = code as u16;
-            if fmt.classify(code) != ValueClass::Finite {
-                continue;
-            }
             let v = fmt.decode(code);
-            if v <= 0.0 {
+            if v.is_nan() || v <= 0.0 {
                 continue;
             }
-            let d = fmt
-                .fields(code)
-                .expect("finite code must expose decoder fields");
+            // `fields` is `None` exactly for the zero, ∞ and NaN classes.
+            let Some(d) = fmt.fields(code) else {
+                continue;
+            };
             points.push(LatticePoint {
                 value: v,
                 code,
@@ -221,7 +313,35 @@ impl EncodeTable {
             points: points.into(),
             tie,
             underflow,
+            table_codes: if fmt.bits() <= DECODE_TABLE_MAX_BITS {
+                codes
+            } else {
+                0
+            },
+            decoded: OnceLock::new(),
+            index: OnceLock::new(),
         }
+    }
+
+    /// `compute(code)`, the format's computed decode, read through the
+    /// per-code table when the format has one (bits above the format's
+    /// width are ignored). The first call fills the table from `compute`.
+    #[inline]
+    pub(crate) fn decode_with(&self, code: u16, compute: impl Fn(u16) -> f64) -> f64 {
+        if self.table_codes == 0 {
+            return compute(code);
+        }
+        let table = self
+            .decoded
+            .get_or_init(|| (0..self.table_codes).map(|c| compute(c as u16)).collect());
+        table[usize::from(code) & (self.table_codes - 1)]
+    }
+
+    /// Entries in the filled per-code decode table (0 before the first
+    /// decode and for formats that decode by computation).
+    #[cfg(test)]
+    pub(crate) fn decode_table_len(&self) -> usize {
+        self.decoded.get().map_or(0, |t| t.len())
     }
 
     /// The positive-magnitude lattice, ascending.
@@ -272,7 +392,51 @@ impl EncodeTable {
         if x >= last.value {
             return Some(last.code);
         }
-        // Invariant: pts[lo].value < x < pts[hi].value with hi = lo + 1.
+        // The first magnitude >= x: pts[hi - 1].value < x <= pts[hi].value.
+        let hi = self
+            .index
+            .get_or_init(|| Arc::new(LatticeIndex::build(pts)))
+            .first_at_least(x);
+        if pts[hi].value == x {
+            return Some(pts[hi].code);
+        }
+        let (a, b) = (&pts[hi - 1], &pts[hi]);
+        let mid = a.value + (b.value - a.value) / 2.0;
+        if x < mid {
+            Some(a.code)
+        } else if x > mid {
+            Some(b.code)
+        } else {
+            Some(self.break_tie(a, b))
+        }
+    }
+
+    /// The pre-index search, kept as the oracle of
+    /// [`EncodeTable::round_positive`]: the same rounding, with a binary
+    /// search over the whole lattice.
+    #[cfg(test)]
+    pub(crate) fn round_positive_reference(&self, x: f64) -> Option<u16> {
+        assert!(x > 0.0 && x.is_finite(), "round_positive needs 0 < x < inf");
+        let pts = &self.points;
+        assert!(!pts.is_empty(), "empty lattice");
+        let first = &pts[0];
+        if x <= first.value {
+            return match self.underflow {
+                UnderflowPolicy::SaturateToMinPos => Some(first.code),
+                UnderflowPolicy::FlushToZero => {
+                    let half = first.value / 2.0;
+                    if x > half {
+                        Some(first.code)
+                    } else {
+                        None
+                    }
+                }
+            };
+        }
+        let last = &pts[pts.len() - 1];
+        if x >= last.value {
+            return Some(last.code);
+        }
         let hi = pts.partition_point(|p| p.value < x);
         if pts[hi].value == x {
             return Some(pts[hi].code);
@@ -286,6 +450,18 @@ impl EncodeTable {
         } else {
             Some(self.break_tie(a, b))
         }
+    }
+
+    /// The lower edge of every bucket of the encode index, for tests that
+    /// probe the bucket boundaries.
+    #[cfg(test)]
+    pub(crate) fn bucket_edges(&self) -> Vec<f64> {
+        let idx = self
+            .index
+            .get_or_init(|| Arc::new(LatticeIndex::build(&self.points)));
+        (0..idx.first.len() as u64)
+            .map(|b| f64::from_bits((idx.base + b) << idx.shift))
+            .collect()
     }
 
     fn break_tie(&self, a: &LatticePoint, b: &LatticePoint) -> u16 {

@@ -119,6 +119,57 @@ impl Fp8 {
     pub fn encode_table(&self) -> &EncodeTable {
         &self.table
     }
+
+    /// The bit-field decode: fills the per-code table, serves formats
+    /// wider than 8 bits, and is the table's test oracle.
+    pub(crate) fn decode_computed(&self, code: u16) -> f64 {
+        let (sign, e, f) = self.split(code);
+        let m = self.frac_bits();
+        let emax = (1u32 << self.exp_bits) - 1;
+        let mag = if e == emax {
+            if f == 0 {
+                f64::INFINITY
+            } else {
+                return f64::NAN;
+            }
+        } else if e == 0 {
+            // subnormal: 0.f × 2^(1−bias)
+            f64::from(f) * exp2i(1 - self.bias() - m as i32)
+        } else {
+            (1.0 + f64::from(f) * exp2i(-(m as i32))) * exp2i(e as i32 - self.bias())
+        };
+        if sign {
+            -mag
+        } else {
+            mag
+        }
+    }
+
+    /// `encode` with the positive-magnitude rounding passed in, so tests
+    /// can swap in the reference search.
+    pub(crate) fn encode_by(&self, x: f64, round_positive: impl Fn(f64) -> Option<u16>) -> u16 {
+        if x.is_nan() {
+            return self.nan_code();
+        }
+        let sign_bit = 1u16 << (self.bits - 1);
+        let (neg, mag) = (x.is_sign_negative(), x.abs());
+        if mag == 0.0 {
+            return 0;
+        }
+        let code = if mag.is_infinite() {
+            self.inf_code()
+        } else {
+            match round_positive(mag) {
+                Some(c) => c,
+                None => return if neg { sign_bit } else { 0 },
+            }
+        };
+        if neg {
+            code | sign_bit
+        } else {
+            code
+        }
+    }
 }
 
 impl Format for Fp8 {
@@ -147,26 +198,7 @@ impl Format for Fp8 {
     }
 
     fn decode(&self, code: u16) -> f64 {
-        let (sign, e, f) = self.split(code);
-        let m = self.frac_bits();
-        let emax = (1u32 << self.exp_bits) - 1;
-        let mag = if e == emax {
-            if f == 0 {
-                f64::INFINITY
-            } else {
-                return f64::NAN;
-            }
-        } else if e == 0 {
-            // subnormal: 0.f × 2^(1−bias)
-            f64::from(f) * exp2i(1 - self.bias() - m as i32)
-        } else {
-            (1.0 + f64::from(f) * exp2i(-(m as i32))) * exp2i(e as i32 - self.bias())
-        };
-        if sign {
-            -mag
-        } else {
-            mag
-        }
+        self.table.decode_with(code, |c| self.decode_computed(c))
     }
 
     fn fields(&self, code: u16) -> Option<Decoded> {
@@ -193,27 +225,7 @@ impl Format for Fp8 {
     }
 
     fn encode(&self, x: f64) -> u16 {
-        if x.is_nan() {
-            return self.nan_code();
-        }
-        let sign_bit = 1u16 << (self.bits - 1);
-        let (neg, mag) = (x.is_sign_negative(), x.abs());
-        if mag == 0.0 {
-            return 0;
-        }
-        let code = if mag.is_infinite() {
-            self.inf_code()
-        } else {
-            match self.table.round_positive(mag) {
-                Some(c) => c,
-                None => return if neg { sign_bit } else { 0 },
-            }
-        };
-        if neg {
-            code | sign_bit
-        } else {
-            code
-        }
+        self.encode_by(x, |m| self.table.round_positive(m))
     }
 
     fn max_finite(&self) -> f64 {

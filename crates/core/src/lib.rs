@@ -57,6 +57,8 @@
     clippy::cast_lossless
 )]
 
+#[cfg(test)]
+mod codec_oracles;
 pub mod error;
 pub mod fields;
 pub mod fixpoint;

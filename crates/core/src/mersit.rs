@@ -243,6 +243,56 @@ impl Mersit {
     pub fn encode_table(&self) -> &EncodeTable {
         &self.table
     }
+
+    /// The bit-field decode: fills the per-code table, serves formats
+    /// wider than 8 bits, and is the table's test oracle.
+    pub(crate) fn decode_computed(&self, code: u16) -> f64 {
+        let (sign, ks, body) = self.split(code);
+        let Some(b) = self.decode_mag(ks, body) else {
+            return if ks {
+                if sign {
+                    f64::NEG_INFINITY
+                } else {
+                    f64::INFINITY
+                }
+            } else {
+                0.0
+            };
+        };
+        let eff = self.regime_scale() * b.k + b.exp as i32;
+        let mag = exp2i(eff) * (1.0 + f64::from(b.frac) * exp2i(-(b.frac_bits as i32)));
+        if sign {
+            -mag
+        } else {
+            mag
+        }
+    }
+
+    /// `encode` with the positive-magnitude rounding passed in, so tests
+    /// can swap in the reference search.
+    pub(crate) fn encode_by(&self, x: f64, round_positive: impl Fn(f64) -> Option<u16>) -> u16 {
+        let sign_bit = 1u16 << (self.bits - 1);
+        let inf_body = ((1u32 << (self.bits - 1)) - 1) as u16; // ks=1, all ECs ones
+        if x.is_nan() {
+            // MERSIT has no NaN; ±∞ is the error value (paper-Posit convention).
+            return inf_body;
+        }
+        if x == 0.0 {
+            // Zero pattern: ks = 0, every EC all ones (Table 1 row 0111111₂).
+            return ((1u32 << (self.bits - 2)) - 1) as u16;
+        }
+        let neg = x < 0.0;
+        let code = if x.abs().is_infinite() {
+            inf_body
+        } else {
+            round_positive(x.abs()).expect("MERSIT never underflows to zero")
+        };
+        if neg {
+            code | sign_bit
+        } else {
+            code
+        }
+    }
 }
 
 impl Format for Mersit {
@@ -268,25 +318,7 @@ impl Format for Mersit {
     }
 
     fn decode(&self, code: u16) -> f64 {
-        let (sign, ks, body) = self.split(code);
-        let Some(b) = self.decode_mag(ks, body) else {
-            return if ks {
-                if sign {
-                    f64::NEG_INFINITY
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                0.0
-            };
-        };
-        let eff = self.regime_scale() * b.k + b.exp as i32;
-        let mag = exp2i(eff) * (1.0 + f64::from(b.frac) * exp2i(-(b.frac_bits as i32)));
-        if sign {
-            -mag
-        } else {
-            mag
-        }
+        self.table.decode_with(code, |c| self.decode_computed(c))
     }
 
     fn fields(&self, code: u16) -> Option<Decoded> {
@@ -310,29 +342,7 @@ impl Format for Mersit {
     }
 
     fn encode(&self, x: f64) -> u16 {
-        let sign_bit = 1u16 << (self.bits - 1);
-        let inf_body = ((1u32 << (self.bits - 1)) - 1) as u16; // ks=1, all ECs ones
-        if x.is_nan() {
-            // MERSIT has no NaN; ±∞ is the error value (paper-Posit convention).
-            return inf_body;
-        }
-        if x == 0.0 {
-            // Zero pattern: ks = 0, every EC all ones (Table 1 row 0111111₂).
-            return ((1u32 << (self.bits - 2)) - 1) as u16;
-        }
-        let neg = x < 0.0;
-        let code = if x.abs().is_infinite() {
-            inf_body
-        } else {
-            self.table
-                .round_positive(x.abs())
-                .expect("MERSIT never underflows to zero")
-        };
-        if neg {
-            code | sign_bit
-        } else {
-            code
-        }
+        self.encode_by(x, |m| self.table.round_positive(m))
     }
 
     fn max_finite(&self) -> f64 {

@@ -192,6 +192,69 @@ impl Posit {
     pub fn encode_table(&self) -> &EncodeTable {
         &self.table
     }
+
+    /// The bit-field decode: fills the per-code table, serves formats
+    /// wider than 8 bits, and is the table's test oracle.
+    pub(crate) fn decode_computed(&self, code: u16) -> f64 {
+        match self.classify(code) {
+            ValueClass::Zero => 0.0,
+            ValueClass::Nan => f64::NAN,
+            ValueClass::Infinite => {
+                let (sign, _) = self.sign_body(code);
+                if sign {
+                    f64::NEG_INFINITY
+                } else {
+                    f64::INFINITY
+                }
+            }
+            ValueClass::Finite => {
+                let (sign, body) = self.sign_body(code);
+                let b = self.decode_body(body);
+                let scale = exp2i(b.k * (1 << self.es) + b.exp as i32);
+                let mag = scale * (1.0 + f64::from(b.frac) * exp2i(-(b.frac_bits as i32)));
+                if sign {
+                    -mag
+                } else {
+                    mag
+                }
+            }
+        }
+    }
+
+    /// `encode` with the positive-magnitude rounding passed in, so tests
+    /// can swap in the reference search.
+    pub(crate) fn encode_by(&self, x: f64, round_positive: impl Fn(f64) -> Option<u16>) -> u16 {
+        let mask = (1u32 << self.bits) - 1;
+        if x.is_nan() {
+            return match self.flavor {
+                // The paper flavor has no NaN; use +∞ as the error value.
+                PositFlavor::Paper => self.body_mask() as u16,
+                PositFlavor::Standard => (1 << (self.bits - 1)) as u16,
+            };
+        }
+        if x == 0.0 {
+            return 0;
+        }
+        let neg = x < 0.0;
+        let mag = x.abs();
+        let pos_code = if mag.is_infinite() {
+            match self.flavor {
+                PositFlavor::Paper => self.body_mask() as u16,
+                // Standard posit maps ±∞ to NaR.
+                PositFlavor::Standard => return (1 << (self.bits - 1)) as u16,
+            }
+        } else {
+            // SaturateToMinPos ⇒ always Some for positive finite input.
+            round_positive(mag).expect("posit never underflows to zero")
+        };
+        if !neg {
+            return pos_code;
+        }
+        match self.flavor {
+            PositFlavor::Paper => pos_code | (1 << (self.bits - 1)) as u16,
+            PositFlavor::Standard => (u32::from(pos_code).wrapping_neg() & mask) as u16,
+        }
+    }
 }
 
 impl Format for Posit {
@@ -233,29 +296,7 @@ impl Format for Posit {
     }
 
     fn decode(&self, code: u16) -> f64 {
-        match self.classify(code) {
-            ValueClass::Zero => 0.0,
-            ValueClass::Nan => f64::NAN,
-            ValueClass::Infinite => {
-                let (sign, _) = self.sign_body(code);
-                if sign {
-                    f64::NEG_INFINITY
-                } else {
-                    f64::INFINITY
-                }
-            }
-            ValueClass::Finite => {
-                let (sign, body) = self.sign_body(code);
-                let b = self.decode_body(body);
-                let scale = exp2i(b.k * (1 << self.es) + b.exp as i32);
-                let mag = scale * (1.0 + f64::from(b.frac) * exp2i(-(b.frac_bits as i32)));
-                if sign {
-                    -mag
-                } else {
-                    mag
-                }
-            }
-        }
+        self.table.decode_with(code, |c| self.decode_computed(c))
     }
 
     fn fields(&self, code: u16) -> Option<Decoded> {
@@ -282,38 +323,7 @@ impl Format for Posit {
     }
 
     fn encode(&self, x: f64) -> u16 {
-        let mask = (1u32 << self.bits) - 1;
-        if x.is_nan() {
-            return match self.flavor {
-                // The paper flavor has no NaN; use +∞ as the error value.
-                PositFlavor::Paper => self.body_mask() as u16,
-                PositFlavor::Standard => (1 << (self.bits - 1)) as u16,
-            };
-        }
-        if x == 0.0 {
-            return 0;
-        }
-        let neg = x < 0.0;
-        let mag = x.abs();
-        let pos_code = if mag.is_infinite() {
-            match self.flavor {
-                PositFlavor::Paper => self.body_mask() as u16,
-                // Standard posit maps ±∞ to NaR.
-                PositFlavor::Standard => return (1 << (self.bits - 1)) as u16,
-            }
-        } else {
-            // SaturateToMinPos ⇒ always Some for positive finite input.
-            self.table
-                .round_positive(mag)
-                .expect("posit never underflows to zero")
-        };
-        if !neg {
-            return pos_code;
-        }
-        match self.flavor {
-            PositFlavor::Paper => pos_code | (1 << (self.bits - 1)) as u16,
-            PositFlavor::Standard => (u32::from(pos_code).wrapping_neg() & mask) as u16,
-        }
+        self.encode_by(x, |m| self.table.round_positive(m))
     }
 
     fn max_finite(&self) -> f64 {

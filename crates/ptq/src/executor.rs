@@ -37,7 +37,7 @@
 use crate::assign::FormatAssignment;
 use crate::bittrue::{Executor, QuantGemm};
 use crate::calibrate::{Calibration, INPUT_PATH};
-use crate::quantizer::{quantize_per_channel, quantize_tensor, scale_anchor, site_scale};
+use crate::quantizer::{quantize_per_channel, quantize_slice, scale_anchor, site_scale};
 use mersit_core::{Format, FormatRef};
 use mersit_nn::{argmax_rows, Ctx, InputKind, Layer, Model, PlanWeight, Site, SiteTable, Tap};
 use mersit_tensor::{par, Tensor};
@@ -78,17 +78,18 @@ pub(crate) struct PlanTap<'a> {
 }
 
 impl Tap for PlanTap<'_> {
-    fn activation(&mut self, site: Site<'_>, t: Tensor) -> Tensor {
+    fn activation(&mut self, site: Site<'_>, mut t: Tensor) -> Tensor {
         // The per-layer executor timing: one span per tap visit, named after
         // the layer path (resolved from the interned table, not rebuilt here).
         let _span = mersit_obs::span_dyn(|| format!("ptq.layer.{}", site.path));
         let i = site.id.index();
         if let (Some(f), Some(s)) = (self.fmts.get(i), self.scales.get(i).copied().flatten()) {
-            quantize_tensor(f.as_ref(), &t, s)
+            // The tap owns the activation: quantize it in place.
+            quantize_slice(f.as_ref(), t.data_mut(), s);
         } else {
             mersit_obs::incr("ptq.layer.unseen_sites");
-            t
         }
+        t
     }
 }
 
@@ -213,11 +214,10 @@ impl QuantPlan {
     /// The logits of one compiled batch: quantize the input (image
     /// models), then a shared-reference forward with weight overrides and
     /// the plan tap.
-    fn logits(&self, model: &Model, x: Tensor) -> Tensor {
-        let x = match self.input_scale {
-            Some(s) => quantize_tensor(self.input_fmt.as_ref(), &x, s),
-            None => x,
-        };
+    fn logits(&self, model: &Model, mut x: Tensor) -> Tensor {
+        if let Some(s) = self.input_scale {
+            quantize_slice(self.input_fmt.as_ref(), x.data_mut(), s);
+        }
         let mut tap = self.tap();
         let mut ctx = Ctx::compiled(&self.sites, &mut tap).with_overrides(&self.weights);
         let logits = model.net.forward_ref(x, &mut ctx);

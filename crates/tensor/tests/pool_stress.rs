@@ -8,6 +8,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mersit_tensor::{par_chunks_mut_with, pool, pool_size};
 
@@ -151,31 +152,56 @@ fn pool_lifecycle_and_stress() {
     // the main thread shuts the pool down repeatedly. In-flight
     // dispatchers self-serve whatever exiting workers leave; every
     // dispatch completes correctly against a pool in an arbitrary
-    // lifecycle state.
-    let stop = Arc::new(AtomicUsize::new(0));
+    // lifecycle state. The interleaving is forced rather than left to the
+    // scheduler: every load thread finishes a round before the shutdowns
+    // start and another one after they end, so the shutdowns overlap live
+    // dispatch streams and each stream survives them.
+    let stop = AtomicUsize::new(0);
+    let rounds: [AtomicUsize; 2] = Default::default();
     std::thread::scope(|s| {
-        let mut loads = Vec::new();
-        for _ in 0..2 {
-            let stop = Arc::clone(&stop);
-            loads.push(s.spawn(move || {
-                let mut rounds = 0usize;
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let mut data = vec![0u16; 48];
-                    par_chunks_mut_with(4, &mut data, 1, 1, |first, chunk| {
-                        for (i, x) in chunk.iter_mut().enumerate() {
-                            *x = (first + i) as u16;
-                        }
-                    });
-                    let want: Vec<u16> = (0..48).collect();
-                    assert_eq!(data, want, "round {rounds} under shutdown");
-                    rounds += 1;
+        let loads: Vec<_> = rounds
+            .iter()
+            .map(|done| {
+                let stop = &stop;
+                s.spawn(move || {
+                    while stop.load(Ordering::Relaxed) == 0 {
+                        let round = done.load(Ordering::Relaxed);
+                        let mut data = vec![0u16; 48];
+                        par_chunks_mut_with(4, &mut data, 1, 1, |first, chunk| {
+                            for (i, x) in chunk.iter_mut().enumerate() {
+                                *x = (first + i) as u16;
+                            }
+                        });
+                        let want: Vec<u16> = (0..48).collect();
+                        assert_eq!(data, want, "round {round} under shutdown");
+                        done.fetch_add(1, Ordering::Release);
+                    }
+                    done.load(Ordering::Relaxed)
+                })
+            })
+            .collect();
+        // Waits until load thread `t` has finished `target` rounds. A
+        // stuck stream fails the test by name instead of hanging it (the
+        // stop flag lets the other threads exit first).
+        let wait_for = |t: usize, target: usize, when: &str| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while rounds[t].load(Ordering::Acquire) < target {
+                if Instant::now() > deadline {
+                    stop.store(1, Ordering::Relaxed);
+                    panic!("load thread {t} finished no round {when} within 60 s");
                 }
-                rounds
-            }));
+                std::thread::yield_now();
+            }
+        };
+        for t in 0..rounds.len() {
+            wait_for(t, 1, "before the shutdowns");
         }
         for _ in 0..10 {
             pool::shutdown();
             std::thread::yield_now();
+        }
+        for (t, done) in rounds.iter().enumerate() {
+            wait_for(t, done.load(Ordering::Acquire) + 1, "after the shutdowns");
         }
         stop.store(1, Ordering::Relaxed);
         for l in loads {
