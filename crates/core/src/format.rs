@@ -3,6 +3,7 @@
 //! table-driven round-to-nearest encoder.
 
 use crate::fields::{Decoded, ValueClass};
+use crate::quant_lut::FormatCaches;
 use std::fmt::Debug;
 use std::sync::{Arc, OnceLock};
 
@@ -28,7 +29,11 @@ pub enum UnderflowPolicy {
 /// * positive finite codes decode to *distinct* magnitudes;
 /// * `encode` performs round-to-nearest with the format's native tie rule,
 ///   saturating to the largest finite value and applying the format's
-///   [`UnderflowPolicy`] near zero.
+///   [`UnderflowPolicy`] near zero;
+/// * `caches` returns a [`FormatCaches`] owned by this instance: created
+///   empty with the instance ([`FormatCaches::new`]) and shared only with
+///   its clones. The memoized constants derive from the format's own
+///   codes, so one cache must never serve two different formats.
 ///
 /// # Examples
 ///
@@ -84,39 +89,23 @@ pub trait Format: Debug + Send + Sync {
         self.decode(self.encode(x))
     }
 
-    /// Fake-quantizes a slice in place with one scale: every element
-    /// becomes `(self.quantize(f64::from(x) / scale) * scale) as f32`,
-    /// bit-exactly.
-    ///
-    /// The default is the scalar reference loop; the built-in formats
-    /// override it with the batched [`crate::QuantLut`] codec (backed by
-    /// their memoized [`crate::QuantSpec`]), falling back to scalar for
-    /// short slices and degenerate scales.
-    fn quantize_slice(&self, xs: &mut [f32], scale: f64) {
-        crate::quant_lut::quantize_slice_scalar(self, xs, scale);
-    }
+    /// This instance's memo of derived constants (see the trait-level
+    /// contract); [`Format::scale_anchor`] and [`Format::quant_spec`]
+    /// read through it.
+    fn caches(&self) -> &FormatCaches;
 
     /// The scaling anchor: the largest lattice magnitude inside the
     /// highest binade still carrying the format's maximal effective
-    /// fraction bits. PTQ maps `max|x|` onto this value.
-    ///
-    /// The built-in formats memoize it; the default recomputes.
+    /// fraction bits. PTQ maps `max|x|` onto this value. Computed once
+    /// per instance.
     fn scale_anchor(&self) -> f64 {
-        crate::quant_lut::compute_scale_anchor(self)
-    }
-
-    /// The per-binade precision staircase (Fig. 4 row) of the format.
-    ///
-    /// The built-in formats memoize it; the default recomputes.
-    fn precision_profile(&self) -> Arc<crate::profile::PrecisionProfile> {
-        Arc::new(crate::profile::PrecisionProfile::of(self))
+        self.caches().anchor(self)
     }
 
     /// The scale-independent batched-quantization spec of the format.
-    ///
-    /// The built-in formats memoize it; the default recomputes.
+    /// Computed once per instance.
     fn quant_spec(&self) -> Arc<crate::quant_lut::QuantSpec> {
-        Arc::new(crate::quant_lut::QuantSpec::of(self))
+        self.caches().spec(self)
     }
 
     /// All codes of the format, `0..2^bits()`.

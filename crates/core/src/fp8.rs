@@ -12,8 +12,7 @@
 use crate::error::InvalidFormatError;
 use crate::fields::{exp2i, Decoded, ValueClass};
 use crate::format::{EncodeTable, Format, TieRule, UnderflowPolicy};
-use crate::quant_lut::{quantize_slice_cached, FormatCaches};
-use std::sync::Arc;
+use crate::quant_lut::FormatCaches;
 
 /// The FP(N,E) minifloat format. `Fp8::new(E)` gives the paper's FP(8,E).
 ///
@@ -240,20 +239,8 @@ impl Format for Fp8 {
         self.frac_bits()
     }
 
-    fn quantize_slice(&self, xs: &mut [f32], scale: f64) {
-        quantize_slice_cached(self, &self.caches, xs, scale);
-    }
-
-    fn scale_anchor(&self) -> f64 {
-        self.caches.anchor(self)
-    }
-
-    fn precision_profile(&self) -> Arc<crate::profile::PrecisionProfile> {
-        self.caches.profile(self)
-    }
-
-    fn quant_spec(&self) -> Arc<crate::quant_lut::QuantSpec> {
-        self.caches.spec(self)
+    fn caches(&self) -> &FormatCaches {
+        &self.caches
     }
 }
 

@@ -9,8 +9,7 @@
 use crate::error::InvalidFormatError;
 use crate::fields::{Decoded, ValueClass};
 use crate::format::{Format, UnderflowPolicy};
-use crate::quant_lut::{quantize_slice_cached, FormatCaches};
-use std::sync::Arc;
+use crate::quant_lut::FormatCaches;
 
 /// Symmetric two's-complement INT8 (integer lattice −127…127).
 ///
@@ -113,20 +112,8 @@ impl Format for Int8 {
         0
     }
 
-    fn quantize_slice(&self, xs: &mut [f32], scale: f64) {
-        quantize_slice_cached(self, &self.caches, xs, scale);
-    }
-
-    fn scale_anchor(&self) -> f64 {
-        self.caches.anchor(self)
-    }
-
-    fn precision_profile(&self) -> Arc<crate::profile::PrecisionProfile> {
-        self.caches.profile(self)
-    }
-
-    fn quant_spec(&self) -> Arc<crate::quant_lut::QuantSpec> {
-        self.caches.spec(self)
+    fn caches(&self) -> &FormatCaches {
+        &self.caches
     }
 }
 

@@ -84,10 +84,7 @@ pub use mac_params::MacParams;
 pub use mersit::Mersit;
 pub use posit::{Posit, PositFlavor};
 pub use profile::{BinadePrecision, PrecisionProfile};
-pub use quant_lut::{
-    compute_scale_anchor, quantize_slice_cached, quantize_slice_scalar, FormatCaches, QuantLut,
-    QuantSpec, LUT_MIN_LEN,
-};
+pub use quant_lut::{quantize_slice_scalar, FormatCaches, QuantLut, QuantSpec, LUT_MIN_LEN};
 pub use registry::{fig4_formats, hardware_formats, parse_format, table2_formats, FormatRef};
 pub use simd::{available_levels, detected_level, simd_level, SimdLevel};
 pub use tables::{code_dump, mersit_table, render_mersit_table, CodeRow, MersitTableRow};

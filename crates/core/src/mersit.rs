@@ -23,8 +23,7 @@
 use crate::error::InvalidFormatError;
 use crate::fields::{exp2i, Decoded, ValueClass};
 use crate::format::{EncodeTable, Format, TieRule, UnderflowPolicy};
-use crate::quant_lut::{quantize_slice_cached, FormatCaches};
-use std::sync::Arc;
+use crate::quant_lut::FormatCaches;
 
 /// The MERSIT(N,E) format. The paper studies `Mersit::new(8, 2)` and
 /// `Mersit::new(8, 3)`.
@@ -361,20 +360,8 @@ impl Format for Mersit {
         (self.groups - 1) * self.es
     }
 
-    fn quantize_slice(&self, xs: &mut [f32], scale: f64) {
-        quantize_slice_cached(self, &self.caches, xs, scale);
-    }
-
-    fn scale_anchor(&self) -> f64 {
-        self.caches.anchor(self)
-    }
-
-    fn precision_profile(&self) -> Arc<crate::profile::PrecisionProfile> {
-        self.caches.profile(self)
-    }
-
-    fn quant_spec(&self) -> Arc<crate::quant_lut::QuantSpec> {
-        self.caches.spec(self)
+    fn caches(&self) -> &FormatCaches {
+        &self.caches
     }
 }
 

@@ -14,7 +14,8 @@
 //!   [`crate::EncodeTable::round_positive`]) plus the probed `quantize()`
 //!   output for every open region between cuts, for every exact tie on a
 //!   cut, and for the special inputs (±0, ±∞, NaN). Built once per format
-//!   instance and memoized in [`FormatCaches`].
+//!   instance: [`Format::quant_spec`] memoizes it in the format's
+//!   [`FormatCaches`].
 //! * [`QuantLut`] — per-scale codec. Each cut is translated into f32
 //!   *input* space by a monotone search over the non-negative f32 bit
 //!   patterns: it starts at the cut's closed-form image `(cut * scale) as
@@ -30,11 +31,12 @@
 //!
 //! * **Bit-exactness with the scalar path** — including tie rules,
 //!   underflow policy, saturation, `-0.0`, infinities and NaN — is the
-//!   load-bearing contract: callers may freely switch between
-//!   `Format::quantize_slice`, a [`QuantLut`], and the threaded fan-out in
-//!   `mersit_tensor::par` without changing a single output bit. Asserted
-//!   by the in-module sweep tests and by the cross-format property tests
-//!   in `tests/quant_slice_props.rs`.
+//!   load-bearing contract: callers may freely switch between the scalar
+//!   loop [`quantize_slice_scalar`], a [`QuantLut`], and the threaded
+//!   fan-out in `mersit_tensor::par` without changing a single output
+//!   bit. [`QuantLut::for_slice`] is the one place that picks between the
+//!   first two. Asserted by the in-module sweep tests and by the
+//!   cross-format property tests in `tests/quant_slice_props.rs`.
 //! * **Region membership is exact by construction**: every cut is placed
 //!   by a search over f32 bit patterns whose every step tests the *same*
 //!   `f64` expression the scalar path evaluates. The closed-form estimate
@@ -69,7 +71,8 @@ use crate::format::{Format, UnderflowPolicy};
 use crate::profile::PrecisionProfile;
 use std::sync::{Arc, OnceLock};
 
-/// Below this many elements the scalar loop wins.
+/// Below this many elements the scalar loop wins, so
+/// [`QuantLut::for_slice`] declines to build a LUT.
 ///
 /// Measured on a 2-vCPU AVX-512 host: building a LUT (2–4.5 µs) and
 /// applying it costs the same as the scalar loop at about 80–225
@@ -419,6 +422,20 @@ impl QuantLut {
         })
     }
 
+    /// The codec for fake-quantizing `len` elements of `fmt` at `scale`,
+    /// built from the format's memoized [`Format::quant_spec`]; `None`
+    /// below [`LUT_MIN_LEN`] elements and for scales
+    /// [`QuantLut::supports`] rejects, where callers run
+    /// [`quantize_slice_scalar`] instead. The only LUT-or-scalar decision:
+    /// every slice quantizer goes through it.
+    #[must_use]
+    pub fn for_slice<F: Format + ?Sized>(fmt: &F, len: usize, scale: f64) -> Option<Self> {
+        if len < LUT_MIN_LEN || !Self::supports(scale) {
+            return None;
+        }
+        Self::build(&fmt.quant_spec(), scale)
+    }
+
     /// Fake-quantizes one value.
     #[inline]
     #[must_use]
@@ -590,39 +607,19 @@ impl QuantLut {
 }
 
 /// The reference per-element fake-quantization loop — the semantics every
-/// batched path must reproduce bit for bit.
+/// batched path must reproduce bit for bit, and the path slice quantizers
+/// take wherever [`QuantLut::for_slice`] returns `None`.
 pub fn quantize_slice_scalar<F: Format + ?Sized>(fmt: &F, xs: &mut [f32], scale: f64) {
     for x in xs {
         *x = (fmt.quantize(f64::from(*x) / scale) * scale) as f32;
     }
 }
 
-/// Shared `quantize_slice` implementation for formats carrying a
-/// [`FormatCaches`]: batched LUT when the slice is long enough and the
-/// scale representable, scalar reference loop otherwise.
-pub fn quantize_slice_cached<F: Format + ?Sized>(
-    fmt: &F,
-    caches: &FormatCaches,
-    xs: &mut [f32],
-    scale: f64,
-) {
-    if xs.len() >= LUT_MIN_LEN && QuantLut::supports(scale) {
-        if let Some(lut) = QuantLut::build(&caches.spec(fmt), scale) {
-            lut.apply(xs);
-            return;
-        }
-    }
-    quantize_slice_scalar(fmt, xs, scale);
-}
-
 /// The scale anchor: the largest lattice magnitude inside the *highest*
 /// binade that still carries the format's maximal effective fraction bits
 /// (the top of the precision plateau; see `mersit-ptq`'s scaling docs).
-pub fn compute_scale_anchor<F: Format + ?Sized>(fmt: &F) -> f64 {
-    anchor_from_profile(fmt, &fmt.precision_profile())
-}
-
-fn anchor_from_profile<F: Format + ?Sized>(fmt: &F, profile: &PrecisionProfile) -> f64 {
+fn compute_scale_anchor<F: Format + ?Sized>(fmt: &F) -> f64 {
+    let profile = PrecisionProfile::of(fmt);
     let best = profile.max_frac_bits();
     let top_exp = profile
         .binades
@@ -646,15 +643,14 @@ fn anchor_from_profile<F: Format + ?Sized>(fmt: &F, profile: &PrecisionProfile) 
 }
 
 /// Per-instance memoization of a format's derived constants: the
-/// [`QuantSpec`], the [`PrecisionProfile`], and the scale anchor.
+/// [`QuantSpec`] and the scale anchor.
 ///
-/// Formats embed one of these and route the corresponding [`Format`]
-/// methods through it; cloning a format shares the already-computed
-/// artifacts (they are behind `Arc`s).
+/// Every format embeds one and returns it from [`Format::caches`]; the
+/// provided [`Format::quant_spec`] and [`Format::scale_anchor`] read
+/// through it. Cloning a format shares the already-computed artifacts.
 #[derive(Debug, Clone, Default)]
 pub struct FormatCaches {
     spec: OnceLock<Arc<QuantSpec>>,
-    profile: OnceLock<Arc<PrecisionProfile>>,
     anchor: OnceLock<f64>,
 }
 
@@ -665,24 +661,14 @@ impl FormatCaches {
         Self::default()
     }
 
-    /// The memoized [`QuantSpec`] of `fmt`.
-    pub fn spec<F: Format + ?Sized>(&self, fmt: &F) -> Arc<QuantSpec> {
+    /// The memoized [`QuantSpec`] of `fmt`, the format owning this cache.
+    pub(crate) fn spec<F: Format + ?Sized>(&self, fmt: &F) -> Arc<QuantSpec> {
         Arc::clone(self.spec.get_or_init(|| Arc::new(QuantSpec::of(fmt))))
     }
 
-    /// The memoized [`PrecisionProfile`] of `fmt`.
-    pub fn profile<F: Format + ?Sized>(&self, fmt: &F) -> Arc<PrecisionProfile> {
-        Arc::clone(
-            self.profile
-                .get_or_init(|| Arc::new(PrecisionProfile::of(fmt))),
-        )
-    }
-
-    /// The memoized scale anchor of `fmt`.
-    pub fn anchor<F: Format + ?Sized>(&self, fmt: &F) -> f64 {
-        *self
-            .anchor
-            .get_or_init(|| anchor_from_profile(fmt, &self.profile(fmt)))
+    /// The memoized scale anchor of `fmt`, the format owning this cache.
+    pub(crate) fn anchor<F: Format + ?Sized>(&self, fmt: &F) -> f64 {
+        *self.anchor.get_or_init(|| compute_scale_anchor(fmt))
     }
 }
 
@@ -803,6 +789,15 @@ mod tests {
         (fmt.quantize(f64::from(x) / scale) * scale) as f32
     }
 
+    /// Slice fake-quantization as production dispatches it: the LUT
+    /// [`QuantLut::for_slice`] picks, else the scalar loop.
+    fn quantize_slice(fmt: &dyn Format, xs: &mut [f32], scale: f64) {
+        match QuantLut::for_slice(fmt, xs.len(), scale) {
+            Some(lut) => lut.apply(xs),
+            None => quantize_slice_scalar(fmt, xs, scale),
+        }
+    }
+
     /// Probes the LUT against the scalar reference on every structurally
     /// interesting input: cuts and lattice values mapped back into input
     /// space (± one ulp), specials, subnormals, and pseudo-random values.
@@ -882,15 +877,16 @@ mod tests {
 
     #[test]
     fn degenerate_scales_are_rejected() {
+        let m = Mersit::new(8, 2).unwrap();
         for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300] {
             assert!(!QuantLut::supports(scale), "scale {scale} must fall back");
+            assert!(QuantLut::for_slice(&m, LUT_MIN_LEN, scale).is_none());
         }
-        // quantize_slice still works on them via the scalar fallback.
-        let m = Mersit::new(8, 2).unwrap();
+        // Slice quantization still works on them via the scalar fallback.
         for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-300] {
             let mut xs = vec![1.0f32; 4];
             let mut want = xs.clone();
-            m.quantize_slice(&mut xs, scale);
+            quantize_slice(&m, &mut xs, scale);
             quantize_slice_scalar(&m, &mut want, scale);
             let (a, b): (Vec<u32>, Vec<u32>) = (
                 xs.iter().map(|v| v.to_bits()).collect(),
@@ -917,11 +913,20 @@ mod tests {
             xs[200] = -0.0;
             let mut want = xs.clone();
             let scale = 0.031_4;
-            fmt.quantize_slice(&mut xs, scale);
+            quantize_slice(fmt, &mut xs, scale);
             quantize_slice_scalar(fmt, &mut want, scale);
             for (i, (a, b)) in xs.iter().zip(&want).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} elem {i}", fmt.name());
             }
+        }
+    }
+
+    #[test]
+    fn for_slice_takes_the_lut_from_lut_min_len_on() {
+        for fmt in table2_formats() {
+            let below = QuantLut::for_slice(fmt.as_ref(), LUT_MIN_LEN - 1, 0.037);
+            let at = QuantLut::for_slice(fmt.as_ref(), LUT_MIN_LEN, 0.037);
+            assert!(below.is_none() && at.is_some(), "{}", fmt.name());
         }
     }
 
@@ -931,9 +936,6 @@ mod tests {
         let s1 = m.quant_spec();
         let s2 = m.quant_spec();
         assert!(Arc::ptr_eq(&s1, &s2), "spec must be memoized");
-        let p1 = m.precision_profile();
-        let p2 = m.precision_profile();
-        assert!(Arc::ptr_eq(&p1, &p2), "profile must be memoized");
         assert_eq!(m.scale_anchor(), 7.75);
         let cloned = m.clone();
         assert!(

@@ -1,6 +1,7 @@
 //! Property tests pinning the batched quantization engine to the scalar
-//! reference: for every registry format, `Format::quantize_slice` must be
-//! bit-identical (`f32::to_bits`) to the per-element
+//! reference: for every registry format, slice quantization as production
+//! dispatches it (the LUT `QuantLut::for_slice` picks, else the scalar
+//! loop) must be bit-identical (`f32::to_bits`) to the per-element
 //! `(quantize(x / scale) * scale) as f32` loop — across random bit
 //! patterns, tie midpoints, subnormal inputs, ±∞-adjacent magnitudes,
 //! NaNs, and non-unit scales, on both the LUT path (slices past
@@ -18,7 +19,10 @@ use proptest::prelude::*;
 /// Asserts slice == scalar bit-for-bit for one format over one input set.
 fn assert_bit_identical(fmt: &dyn Format, xs: &[f32], scale: f64) {
     let mut batched = xs.to_vec();
-    fmt.quantize_slice(&mut batched, scale);
+    match QuantLut::for_slice(fmt, batched.len(), scale) {
+        Some(lut) => lut.apply(&mut batched),
+        None => quantize_slice_scalar(fmt, &mut batched, scale),
+    }
     let mut scalar = xs.to_vec();
     quantize_slice_scalar(fmt, &mut scalar, scale);
     for (i, (&b, &s)) in batched.iter().zip(&scalar).enumerate() {

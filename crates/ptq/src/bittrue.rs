@@ -7,16 +7,15 @@
 //!
 //! 1. **Weights** are encoded once per plan: each output channel's
 //!    original FP32 weights are scaled by the *same* per-channel scale the
-//!    float executor uses (`channel_max / anchor`) and rounded to codes
-//!    with `Format::encode` — so the code matrix corresponds element for
-//!    element to the float path's fake-quantized weights. Each engine is
-//!    built for **one layer's** format as resolved by the plan's
-//!    [`crate::FormatAssignment`] — under a mixed assignment, every
-//!    layer's codes, row scales and `FixTable` follow its own format;
-//!    under a uniform one this degenerates to the historical
-//!    one-format-per-plan build.
+//!    float executor uses and rounded to codes with `Format::encode` — so
+//!    the code matrix corresponds element for element to the float path's
+//!    fake-quantized weights. Each engine is built for **one layer's**
+//!    format as resolved by the plan's [`crate::FormatAssignment`] —
+//!    under a mixed assignment, every layer's codes, row scales and
+//!    `FixTable` follow its own format; under a uniform one this
+//!    degenerates to the historical one-format-per-plan build.
 //! 2. **Activations** are encoded per call with a dynamic **per-row**
-//!    scale (`max|row| / anchor`); codes cannot be carried across the
+//!    scale (from `max|row|`); codes cannot be carried across the
 //!    nonlinear layers between GEMMs, so each GEMM re-enters code space
 //!    at its input. Rows are sample-local for every GEMM the engine sees
 //!    (Linear flattens each sample to one row; im2col rows come from one
@@ -24,7 +23,9 @@
 //!    never depend on its batch-mates. This is what makes batched
 //!    inference bit-identical to single-sample inference (the serving
 //!    layer's coalescing invariant), and it mirrors per-vector requant
-//!    granularity in hardware.
+//!    granularity in hardware. Weight and row scales alike come from
+//!    [`crate::site_scale`]`(anchor, max)`, or 1.0 for all-zero data: the
+//!    one rule `quantize_per_channel` and the plan's sites use too.
 //! 3. The product runs **entirely on integers**: every code maps through
 //!    a per-format fixed-point table (`mersit-core::fixpoint::FixTable`),
 //!    products are exact `i128`s, and each dot product is reduced with a
@@ -47,7 +48,7 @@
 //! counts accumulated products and `ptq.bittrue.wide_path` counts GEMMs
 //! taking the wide fallback.
 
-use crate::quantizer::channel_max_abs;
+use crate::quantizer::{channel_max_abs, site_scale};
 use mersit_core::fixpoint::{v_ovf_for, wrap_i128, FixTable};
 use mersit_core::{Format, FormatRef, MacParams, ValueClass};
 use mersit_nn::BitTrueGemm;
@@ -285,7 +286,6 @@ enum EnginePath {
 #[derive(Debug)]
 pub struct QuantGemm {
     fmt: FormatRef,
-    anchor: f64,
     /// Per-output-channel weight scales — identical to the float
     /// executor's `quantize_per_channel` scales.
     col_scales: Vec<f64>,
@@ -313,11 +313,11 @@ impl QuantGemm {
         assert_eq!(w.shape().len(), 2, "bit-true GEMM weight must be rank 2");
         let (n, k) = (w.shape()[0], w.shape()[1]);
         let anchor = fmt.scale_anchor();
-        // Same per-channel scale rule as `quantize_per_channel`: all-zero
+        // Same per-channel scale as `quantize_per_channel`: all-zero
         // channels get scale 1.0 (their codes are all zero anyway).
         let col_scales: Vec<f64> = channel_max_abs(w)
             .iter()
-            .map(|&m| if m <= 0.0 { 1.0 } else { f64::from(m) / anchor })
+            .map(|&m| site_scale(anchor, m).unwrap_or(1.0))
             .collect();
         let f: &dyn Format = fmt.as_ref();
         let codes: Vec<u16> = w
@@ -340,7 +340,6 @@ impl QuantGemm {
             let lsb_exp = table.lsb_exp();
             Self {
                 fmt,
-                anchor,
                 col_scales,
                 k,
                 n,
@@ -359,7 +358,6 @@ impl QuantGemm {
             let lsb_exp = 2 * (params.e_min - (sig_bits as i32 - 1));
             Self {
                 fmt,
-                anchor,
                 col_scales,
                 k,
                 n,
@@ -406,10 +404,10 @@ impl QuantGemm {
         &self.col_scales
     }
 
-    /// Dynamic per-row activation scales: `max|row| / anchor` per rank-2
-    /// input row, or 1.0 for an all-zero (or empty) row. Each row's scale
-    /// depends only on that row, so a sample's codes are independent of
-    /// its batch-mates — the batching bit-identity invariant.
+    /// Dynamic per-row activation scales: [`site_scale`] of `max|row|` per
+    /// rank-2 input row, or 1.0 for an all-zero (or empty) row. Each row's
+    /// scale depends only on that row, so a sample's codes are independent
+    /// of its batch-mates — the batching bit-identity invariant.
     ///
     /// # Panics
     ///
@@ -418,15 +416,12 @@ impl QuantGemm {
     pub fn row_scales(&self, x2: &Tensor) -> Vec<f64> {
         assert_eq!(x2.shape().len(), 2, "row scales need a rank-2 input");
         let k = x2.shape()[1];
+        let anchor = self.fmt.scale_anchor();
         x2.data()
             .chunks_exact(k.max(1))
             .map(|row| {
                 let m = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                if m > 0.0 {
-                    f64::from(m) / self.anchor
-                } else {
-                    1.0
-                }
+                site_scale(anchor, m).unwrap_or(1.0)
             })
             .collect()
     }

@@ -159,8 +159,9 @@ impl Tap for CompareTap<'_> {
     }
 }
 
-/// Runs both executors of an assignment (a plain [`FormatRef`] converts
-/// into a uniform one) over `inputs` and returns the divergence report.
+/// Runs both executors of an assignment (a plain
+/// [`FormatRef`](mersit_core::FormatRef) converts into a uniform one) over
+/// `inputs` and returns the divergence report.
 /// Batches run serially (the comparison needs the two passes' site-visit
 /// orders aligned). Mixed assignments diff each site under its own
 /// resolved format.

@@ -2,11 +2,11 @@
 //!
 //! Scaling follows the paper's §4.1 protocol: the maximum absolute value of
 //! the data (per output channel for weights, per tensor for activations)
-//! is mapped onto the format's largest finite magnitude, i.e.
-//! `scale = max|x| / max_finite`, then every element is rounded through the
-//! format and scaled back.
+//! is mapped onto the format's [`scale_anchor`], i.e.
+//! `scale = max|x| / anchor` ([`site_scale`]), then every element is
+//! rounded through the format and scaled back.
 
-use mersit_core::{Format, QuantLut, LUT_MIN_LEN};
+use mersit_core::{quantize_slice_scalar, Format, QuantLut};
 use mersit_tensor::{par, Tensor};
 
 /// Rough cost (in elementary ops) of one scalar `Format::quantize` round
@@ -32,31 +32,31 @@ pub fn scale_anchor(fmt: &dyn Format) -> f64 {
 }
 
 /// Fake-quantizes a slice in place: `x ← quantize(x / scale) · scale` for
-/// every element, through the format's batched [`QuantLut`] codec when the
-/// slice is long enough to amortize the table build, and across threads
-/// when long enough to amortize the spawns. Bit-identical to the scalar
-/// element loop in every case.
+/// every element, through the batched [`QuantLut`] codec when
+/// [`QuantLut::for_slice`] picks it (the slice is long enough to amortize
+/// the table build) and across threads when long enough to amortize the
+/// spawns. Bit-identical to the scalar element loop in every case.
 pub fn quantize_slice(fmt: &dyn Format, xs: &mut [f32], scale: f64) {
     let _span = mersit_obs::span("ptq.quantize_slice");
     mersit_obs::add("ptq.quantize.elems", xs.len() as u64);
-    if xs.len() >= LUT_MIN_LEN && QuantLut::supports(scale) {
-        if let Some(lut) = QuantLut::build(&fmt.quant_spec(), scale) {
-            // Build the table once, share it read-only across threads.
-            mersit_obs::incr("ptq.quantize.lut_path");
-            par::par_chunks_mut(xs, 1, par::min_units(8), |_, chunk| lut.apply(chunk));
-            return;
-        }
+    if let Some(lut) = QuantLut::for_slice(fmt, xs.len(), scale) {
+        // Build the table once, share it read-only across threads.
+        mersit_obs::incr("ptq.quantize.lut_path");
+        par::par_chunks_mut(xs, 1, par::min_units(8), |_, chunk| lut.apply(chunk));
+    } else {
+        mersit_obs::incr("ptq.quantize.scalar_path");
+        quantize_slice_scalar(fmt, xs, scale);
     }
-    mersit_obs::incr("ptq.quantize.scalar_path");
-    fmt.quantize_slice(xs, scale);
 }
 
 /// Per-site activation scale: `Some(max_abs / anchor)` when the site was
 /// observed (positive maximum), `None` for unseen sites, which must pass
-/// through unquantized. This is the **single** definition of the
-/// activation scale — the compiled [`crate::executor::QuantPlan`] (site
-/// and input scales) and the RMSE / sensitivity taps all go through it,
-/// so they can never drift apart.
+/// through unquantized. This is the **single** definition of a PTQ scale —
+/// the compiled [`crate::executor::QuantPlan`] (site and input scales),
+/// the RMSE / sensitivity taps, and, with `unwrap_or(1.0)` for all-zero
+/// data, the per-channel weight scales ([`quantize_per_channel`],
+/// [`crate::QuantGemm`]) and the bit-true per-row activation scales all go
+/// through it, so they can never drift apart.
 #[must_use]
 pub fn site_scale(anchor: f64, max_abs: f32) -> Option<f64> {
     (max_abs > 0.0).then(|| f64::from(max_abs) / anchor)
@@ -109,19 +109,23 @@ pub fn quantize_per_channel(fmt: &dyn Format, t: &Tensor) -> Tensor {
     let anchor = fmt.scale_anchor();
     let scales: Vec<f64> = maxes
         .iter()
-        .map(|&m| if m <= 0.0 { 1.0 } else { f64::from(m) / anchor })
+        .map(|&m| site_scale(anchor, m).unwrap_or(1.0))
         .collect();
     let scales = &scales;
     // Channels are independent (each has its own scale), so the channel
-    // range is split across threads; within a channel the format's slice
-    // codec picks the LUT path when the channel is long enough.
+    // range is split across threads; within a channel `for_slice` picks
+    // the LUT path when the channel is long enough.
     par::par_chunks_mut(
         out.data_mut(),
         inner,
         par::min_units(inner.saturating_mul(SCALAR_QUANT_COST)),
         |c0, chunk| {
             for (dc, ch) in chunk.chunks_mut(inner).enumerate() {
-                fmt.quantize_slice(ch, scales[c0 + dc]);
+                let scale = scales[c0 + dc];
+                match QuantLut::for_slice(fmt, ch.len(), scale) {
+                    Some(lut) => lut.apply(ch),
+                    None => quantize_slice_scalar(fmt, ch, scale),
+                }
             }
         },
     );
@@ -214,23 +218,53 @@ mod tests {
     fn engine_bit_identical_to_scalar_formula() {
         // The batched engine (LUT + threads for big tensors, scalar for
         // small ones) must reproduce the original per-element expression
-        // exactly, for every registry format.
+        // exactly, for every registry format: on Gaussian data and on the
+        // same data salted with special values (spread so they land in
+        // different thread chunks), at the calibrated scale and at the
+        // degenerate scales the LUT cannot represent.
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signaling-NaN payload
+            f32::from_bits(0xffc0_1234), // negative quiet NaN with payload
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1), // smallest subnormal
+            f32::from_bits(0x8000_0001),
+        ];
+        let degenerate_scales = [0.0, -1.0, f64::INFINITY, f64::NAN, 1e-320, 4e307];
         let mut rng = Rng::new(11);
         let small = Tensor::randn(&[100], 1.5, &mut rng);
         let large = Tensor::randn(&[20_000], 1.5, &mut rng);
         for fmt in mersit_core::table2_formats() {
             let fmt = fmt.as_ref();
             for t in [&small, &large] {
-                let s = scale_for(fmt, t.max_abs());
-                let q = quantize_tensor(fmt, t, s);
-                for (&got, &x) in q.data().iter().zip(t.data()) {
-                    let want = (fmt.quantize(f64::from(x) / s) * s) as f32;
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{} x={x} got={got} want={want}",
-                        fmt.name()
-                    );
+                let mut salted = t.clone();
+                let stride = t.data().len() / specials.len();
+                for (j, &v) in specials.iter().enumerate() {
+                    salted.data_mut()[j * stride] = v;
+                }
+                let calibrated = scale_for(fmt, t.max_abs());
+                for s in std::iter::once(calibrated).chain(degenerate_scales) {
+                    for input in [t, &salted] {
+                        let q = quantize_tensor(fmt, input, s);
+                        for (&got, &x) in q.data().iter().zip(input.data()) {
+                            let want = (fmt.quantize(f64::from(x) / s) * s) as f32;
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{} scale={s:e} x={x:e} ({:#010x}) got={got} want={want}",
+                                fmt.name(),
+                                x.to_bits()
+                            );
+                        }
+                    }
                 }
             }
         }

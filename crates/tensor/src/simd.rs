@@ -22,8 +22,9 @@
 //! element** (`_mm256_mul_ps` + `_mm256_add_ps` and friends), exactly the
 //! two roundings of the scalar reference `acc[j] += av * b[j]`. A fused
 //! FMA (`_mm256_fmadd_ps`) would round once and diverge from
-//! [`crate::gemm::matmul_naive_rows`] in the last ulp — breaking
-//! `plan_matches_legacy` and the serving batcher's
+//! [`crate::gemm::matmul_naive_rows`] in the last ulp — breaking the
+//! golden logit digests (`plan_logits_match_golden_digests` in
+//! `mersit-ptq`'s `executor.rs`) and the serving batcher's
 //! batched-equals-single-sample licensing invariant (small m takes the
 //! naive path, large m the packed path; they must agree bitwise). The
 //! vector win comes from width (16-lane panels), register tiling, and

@@ -5,7 +5,8 @@
 //! `Tensor::matmul`, `Tensor::matmul_packed`), the output must equal the
 //! serial i-k-j reference loop bit for bit. This is the invariant the
 //! whole PTQ test suite leans on — a single reordered addition here
-//! shows up as a prediction diff in `plan_matches_legacy`.
+//! shows up as a logit-digest diff in `plan_logits_match_golden_digests`
+//! (`crates/ptq/src/executor.rs`).
 
 use mersit_tensor::gemm::{self, PackedRhs, KC, MC, MR, NR};
 use mersit_tensor::simd::available_levels;
