@@ -43,9 +43,9 @@ fn main() {
         };
         train_classifier(&mut model.net, &ds.train, &cfg);
 
-        let (plain, _) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+        let (plain, _) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
         model.net.fold_bn();
-        let (folded, _) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+        let (folded, _) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
 
         println!(
             "{name}  (fp32: plain {:.1}%, folded {:.1}%)",

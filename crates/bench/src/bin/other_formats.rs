@@ -13,7 +13,8 @@
 use mersit_core::parse_format;
 use mersit_nn::models::{efficientnet_b0_t, vgg_t, Model};
 use mersit_nn::{
-    argmax_rows, predict, synthetic_images, train_classifier, Ctx, Layer, PlanWeight, TrainConfig,
+    argmax_rows, predict_ref, synthetic_images, train_classifier, Ctx, Layer, PlanWeight,
+    TrainConfig,
 };
 use mersit_ptq::{calibrate, AltQuant, Metric, QuantPlan};
 use mersit_tensor::{Rng, Tensor};
@@ -76,7 +77,7 @@ fn main() {
             },
         );
         let cal = calibrate(&model, &ds.calib.inputs, 32);
-        let fp32_preds = predict(&mut model.net, &ds.test.inputs, 50);
+        let fp32_preds = predict_ref(&model.net, &ds.test.inputs, 50);
         let fp32 = Metric::Accuracy.score(&fp32_preds, &ds.test.labels);
         let fp84 = {
             let plan = QuantPlan::build(&model, parse_format("FP(8,4)").expect("valid"), &cal);

@@ -81,7 +81,7 @@ fn main() {
             ..TrainConfig::default()
         };
         let losses = train_classifier(&mut model.net, &ds.train, &cfg);
-        let (row, _) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+        let (row, _) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
         println!(
             "  {:<20} fp32 {:5.1}%  (loss {:.3} -> {:.3}, {:.0?})",
             row.model,
@@ -113,7 +113,7 @@ fn main() {
             ..TrainConfig::default()
         };
         let losses = train_classifier(&mut model.net, &gds.train, &cfg);
-        let (row, _) = evaluate_model(&mut model, &gds, &formats, metric, 50);
+        let (row, _) = evaluate_model(&model, &gds, &formats, metric, 50);
         println!(
             "  {:<20} fp32 {:5.1}  (loss {:.3} -> {:.3}, {:.0?})",
             row.model,

@@ -78,7 +78,7 @@ pub fn trained_dnn_operands(seed: u64, pool: usize) -> DnnOperands {
     train_classifier(&mut model.net, &ds.train, &cfg);
     // Weight pool.
     let mut weights = Vec::new();
-    model.net.visit_params("", &mut |_, p| {
+    model.net.visit_params_ref("", &mut |_, p| {
         if p.value.shape().len() >= 2 {
             for &v in p.value.data() {
                 if weights.len() < pool {
@@ -98,7 +98,7 @@ pub fn trained_dnn_operands(seed: u64, pool: usize) -> DnnOperands {
         let mut ctx = Ctx::with_tap(&mut tap);
         let _ = model
             .net
-            .forward(ds.test.inputs.slice_outer(0, 32), &mut ctx);
+            .forward_ref(ds.test.inputs.slice_outer(0, 32), &mut ctx);
     }
     DnnOperands {
         weights,

@@ -34,10 +34,7 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
+    fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
         let d = self.dim;
         let rows = x.len() / d;
         let shape = x.shape().to_vec();
@@ -156,10 +153,7 @@ impl Embedding {
 }
 
 impl Layer for Embedding {
-    fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
+    fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
         // x: [N, T] token ids stored as f32.
         let (n, t) = (x.shape()[0], x.shape()[1]);
         let d = self.dim;
@@ -319,9 +313,6 @@ impl MultiHeadAttention {
 
 impl Layer for MultiHeadAttention {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
         let (n, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         assert_eq!(d, self.dim, "model dim mismatch");
         let dh = d / self.heads;
@@ -492,9 +483,6 @@ impl Layer for TransformerBlock {
     }
 
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
         ctx.push("ln1");
         let h = self.ln1.forward(x.clone(), ctx);
         let h = ctx.tap_activation(h);
@@ -585,9 +573,7 @@ impl TakeCls {
 
 impl Layer for TakeCls {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if ctx.train {
-            self.cache_shape = x.shape().to_vec();
-        }
+        self.cache_shape = x.shape().to_vec();
         self.forward_ref(x, ctx)
     }
 
@@ -634,7 +620,7 @@ mod tests {
 
     fn numeric_input_check(layer: &mut dyn Layer, x: &Tensor, picks: &[usize], tol: f32) {
         let mut rng = Rng::new(123);
-        let y = layer.forward(x.clone(), &mut Ctx::training());
+        let y = layer.forward(x.clone(), &mut Ctx::new());
         let r = Tensor::randn(y.shape(), 1.0, &mut rng);
         let dx = layer.backward(r.clone());
         let eps = 1e-2;
@@ -643,9 +629,9 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = layer.forward(xp, &mut Ctx::training());
+            let yp = layer.forward(xp, &mut Ctx::new());
             let _ = layer.backward(r.clone());
-            let ym = layer.forward(xm, &mut Ctx::training());
+            let ym = layer.forward(xm, &mut Ctx::new());
             let _ = layer.backward(r.clone());
             let num = (dot(&yp, &r) - dot(&ym, &r)) / (2.0 * eps);
             assert!(
@@ -658,10 +644,10 @@ mod tests {
 
     #[test]
     fn layernorm_normalizes_rows() {
-        let mut ln = LayerNorm::new(8);
+        let ln = LayerNorm::new(8);
         let mut rng = Rng::new(1);
         let x = Tensor::randn(&[3, 8], 2.0, &mut rng).map(|v| v + 7.0);
-        let y = ln.forward(x, &mut Ctx::inference());
+        let y = ln.forward_ref(x, &mut Ctx::new());
         for r in 0..3 {
             let row = &y.data()[r * 8..(r + 1) * 8];
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
@@ -683,7 +669,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let mut emb = Embedding::new(10, 4, 5, &mut rng);
         let ids = Tensor::from_vec(vec![2.0, 7.0, 2.0, 0.0], &[2, 2]);
-        let y = emb.forward(ids, &mut Ctx::training());
+        let y = emb.forward(ids, &mut Ctx::new());
         assert_eq!(y.shape(), &[2, 2, 4]);
         // Same token at different positions differs only by the positional
         // embedding.
@@ -702,9 +688,9 @@ mod tests {
     #[test]
     fn mha_forward_shape_and_permutation_sanity() {
         let mut rng = Rng::new(4);
-        let mut mha = MultiHeadAttention::new(8, 2, &mut rng);
+        let mha = MultiHeadAttention::new(8, 2, &mut rng);
         let x = Tensor::randn(&[2, 5, 8], 1.0, &mut rng);
-        let y = mha.forward(x, &mut Ctx::inference());
+        let y = mha.forward_ref(x, &mut Ctx::new());
         assert_eq!(y.shape(), &[2, 5, 8]);
     }
 
@@ -728,7 +714,7 @@ mod tests {
     fn take_cls_picks_first_token() {
         let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), &[2, 3, 2]);
         let mut cls = TakeCls::new();
-        let y = cls.forward(x, &mut Ctx::training());
+        let y = cls.forward(x, &mut Ctx::new());
         assert_eq!(y.data(), &[0., 1., 6., 7.]);
         let dx = cls.backward(Tensor::full(&[2, 2], 1.0));
         assert_eq!(dx.sum(), 4.0);

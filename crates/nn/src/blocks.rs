@@ -44,9 +44,6 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
         ctx.push("main");
         let m = self.main.forward(x.clone(), ctx);
         ctx.pop();
@@ -148,9 +145,6 @@ impl SEBlock {
 
 impl Layer for SEBlock {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        if !ctx.train {
-            return self.forward_ref(x, ctx);
-        }
         let (n, c, h, w) = dims4(&x);
         let pooled = global_avg_pool(&x); // [N, C]
         ctx.push("fc1");
@@ -273,9 +267,9 @@ mod tests {
         let mut rng = Rng::new(1);
         let mut main = Sequential::new();
         main.push(Conv2d::new(3, 3, 3, 1, 1, &mut rng));
-        let mut block = Residual::new(main);
+        let block = Residual::new(main);
         let x = Tensor::randn(&[1, 3, 4, 4], 1.0, &mut rng);
-        let y = block.forward(x.clone(), &mut Ctx::inference());
+        let y = block.forward_ref(x.clone(), &mut Ctx::new());
         assert_eq!(y.shape(), x.shape());
     }
 
@@ -287,7 +281,7 @@ mod tests {
         main.push(Act::new(ActKind::Tanh));
         let mut block = Residual::new(main);
         let x = Tensor::randn(&[1, 2, 3, 3], 1.0, &mut rng);
-        let y = block.forward(x.clone(), &mut Ctx::training());
+        let y = block.forward(x.clone(), &mut Ctx::new());
         let r = Tensor::randn(y.shape(), 1.0, &mut rng);
         let dx = block.backward(r.clone());
         let eps = 1e-2;
@@ -296,9 +290,9 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = block.forward(xp, &mut Ctx::training());
+            let yp = block.forward(xp, &mut Ctx::new());
             let _ = block.backward(r.clone()); // consume cache
-            let ym = block.forward(xm, &mut Ctx::training());
+            let ym = block.forward(xm, &mut Ctx::new());
             let _ = block.backward(r.clone());
             let num = (dot(&yp, &r) - dot(&ym, &r)) / (2.0 * eps);
             assert!((num - dx.data()[i]).abs() < 3e-2, "dx[{i}]");
@@ -312,18 +306,18 @@ mod tests {
         main.push(Conv2d::new(2, 4, 3, 2, 1, &mut rng));
         let mut sc = Sequential::new();
         sc.push(Conv2d::new(2, 4, 1, 2, 0, &mut rng));
-        let mut block = Residual::with_shortcut(main, sc);
+        let block = Residual::with_shortcut(main, sc);
         let x = Tensor::randn(&[1, 2, 6, 6], 1.0, &mut rng);
-        let y = block.forward(x, &mut Ctx::inference());
+        let y = block.forward_ref(x, &mut Ctx::new());
         assert_eq!(y.shape(), &[1, 4, 3, 3]);
     }
 
     #[test]
     fn se_block_scales_channels() {
         let mut rng = Rng::new(4);
-        let mut se = SEBlock::new(4, 2, &mut rng);
+        let se = SEBlock::new(4, 2, &mut rng);
         let x = Tensor::full(&[1, 4, 3, 3], 1.0);
-        let y = se.forward(x.clone(), &mut Ctx::inference());
+        let y = se.forward_ref(x, &mut Ctx::new());
         // Each output channel is a constant in (0,1) times the input.
         for ci in 0..4 {
             let v = y.at(&[0, ci, 0, 0]);
@@ -337,7 +331,7 @@ mod tests {
         let mut rng = Rng::new(5);
         let mut se = SEBlock::new(2, 2, &mut rng);
         let x = Tensor::randn(&[1, 2, 3, 3], 1.0, &mut rng);
-        let y = se.forward(x.clone(), &mut Ctx::training());
+        let y = se.forward(x.clone(), &mut Ctx::new());
         let r = Tensor::randn(y.shape(), 1.0, &mut rng);
         let dx = se.backward(r.clone());
         let eps = 1e-2;
@@ -346,9 +340,9 @@ mod tests {
             xp.data_mut()[i] += eps;
             let mut xm = x.clone();
             xm.data_mut()[i] -= eps;
-            let yp = se.forward(xp, &mut Ctx::training());
+            let yp = se.forward(xp, &mut Ctx::new());
             let _ = se.backward(r.clone());
-            let ym = se.forward(xm, &mut Ctx::training());
+            let ym = se.forward(xm, &mut Ctx::new());
             let _ = se.backward(r.clone());
             let num = (dot(&yp, &r) - dot(&ym, &r)) / (2.0 * eps);
             assert!(
@@ -371,10 +365,10 @@ mod tests {
         let mut rng = Rng::new(6);
         let mut main = Sequential::new();
         main.push(BatchNorm2d::new(2));
-        let mut block = Residual::new(main);
+        let block = Residual::new(main);
         let mut tap = Names(Vec::new());
         let mut ctx = Ctx::with_tap(&mut tap);
-        let _ = block.forward(Tensor::randn(&[1, 2, 2, 2], 1.0, &mut rng), &mut ctx);
+        let _ = block.forward_ref(Tensor::randn(&[1, 2, 2, 2], 1.0, &mut rng), &mut ctx);
         assert!(tap.0.iter().any(|p| p.ends_with("add")), "{:?}", tap.0);
         assert!(tap.0.iter().any(|p| p.contains("main")), "{:?}", tap.0);
     }

@@ -114,11 +114,13 @@ enum SiteMode<'a> {
     Compiled { table: &'a SiteTable, next: u32 },
 }
 
-/// Forward-pass context: training flag, hierarchical path, site mode,
-/// optional tap, and optional planned weight overrides.
+/// Forward-pass context: hierarchical path, site mode, optional tap, and
+/// optional planned weight overrides.
+///
+/// Both forwards of a [`Layer`] take one. Training runs with
+/// [`Ctx::new`]; calibration and quantized inference run `forward_ref`
+/// with a tap, tracing or compiled context.
 pub struct Ctx<'a> {
-    /// Training mode (enables caching for backward, batch statistics).
-    pub train: bool,
     path_buf: String,
     marks: Vec<usize>,
     tap: Option<&'a mut dyn Tap>,
@@ -128,9 +130,8 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn base(train: bool, tap: Option<&'a mut dyn Tap>, mode: SiteMode<'a>) -> Self {
+    fn base(tap: Option<&'a mut dyn Tap>, mode: SiteMode<'a>) -> Self {
         Self {
-            train,
             path_buf: String::new(),
             marks: Vec::new(),
             tap,
@@ -140,37 +141,31 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Inference context without a tap.
+    /// Context without a tap (ad-hoc dense site ids).
     #[must_use]
-    pub fn inference() -> Self {
-        Self::base(false, None, SiteMode::Adhoc { next: 0 })
+    pub fn new() -> Self {
+        Self::base(None, SiteMode::Adhoc { next: 0 })
     }
 
-    /// Training context (caches intermediates for backward).
-    #[must_use]
-    pub fn training() -> Self {
-        Self::base(true, None, SiteMode::Adhoc { next: 0 })
-    }
-
-    /// Inference context with an activation tap (ad-hoc dense site ids).
+    /// Context with an activation tap (ad-hoc dense site ids).
     pub fn with_tap(tap: &'a mut dyn Tap) -> Self {
-        Self::base(false, Some(tap), SiteMode::Adhoc { next: 0 })
+        Self::base(Some(tap), SiteMode::Adhoc { next: 0 })
     }
 
-    /// Tracing inference context: interns every tap path into `table`.
+    /// Tracing context: interns every tap path into `table`.
     pub fn tracing(table: &'a mut SiteTable) -> Self {
-        Self::base(false, None, SiteMode::Trace(table))
+        Self::base(None, SiteMode::Trace(table))
     }
 
-    /// Tracing inference context with a tap attached (calibration).
+    /// Tracing context with a tap attached (calibration).
     pub fn tracing_with_tap(table: &'a mut SiteTable, tap: &'a mut dyn Tap) -> Self {
-        Self::base(false, Some(tap), SiteMode::Trace(table))
+        Self::base(Some(tap), SiteMode::Trace(table))
     }
 
-    /// Compiled inference context: site ids advance by cursor in visit
-    /// order and tap paths resolve through the traced `table`.
+    /// Compiled context: site ids advance by cursor in visit order and tap
+    /// paths resolve through the traced `table`.
     pub fn compiled(table: &'a SiteTable, tap: &'a mut dyn Tap) -> Self {
-        Self::base(false, Some(tap), SiteMode::Compiled { table, next: 0 })
+        Self::base(Some(tap), SiteMode::Compiled { table, next: 0 })
     }
 
     /// Attaches planned weight overrides: layers consume one slot per
@@ -280,32 +275,41 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// A differentiable network layer.
+impl Default for Ctx<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A differentiable network layer with two forwards.
 ///
-/// `forward` must cache whatever `backward` needs **only** when
-/// `ctx.train` is set; `backward` consumes those caches and returns the
-/// gradient with respect to the layer input, accumulating parameter
-/// gradients into its [`crate::param::Param`]s.
+/// `forward` is the training forward. It borrows the layer exclusively
+/// and caches whatever `backward` needs (batch norm also normalizes by
+/// batch statistics and updates its running ones). `backward` consumes
+/// those caches and returns the gradient with respect to the layer input,
+/// accumulating parameter gradients into its [`crate::param::Param`]s.
 ///
-/// `forward_ref` is the shared-reference inference entry point: it borrows
-/// the layer (and thus every parameter) read-only, so any number of
-/// forwards can run concurrently over one model. Non-training `forward`
-/// calls delegate to it, which guarantees the two paths are bit-identical.
+/// `forward_ref` is the inference forward, the only one. It borrows the
+/// layer (and thus every parameter) read-only, so any number of forwards
+/// can run concurrently over one model. Planned weight overrides
+/// ([`Ctx::with_overrides`]) apply only here.
+///
+/// Containers push path components and tap activations the same way in
+/// both forwards, so training feeds the same `nn.fwd.*` spans and
+/// `nn.act.*` stats as inference.
 ///
 /// The [`std::any::Any`] supertrait allows structural model transforms
 /// (such as batch-norm folding) to downcast children of containers; the
 /// `Send + Sync` supertraits let `&Model` cross scoped-thread boundaries
 /// for parallel PTQ sweeps.
 pub trait Layer: std::any::Any + Send + Sync {
-    /// Forward pass (exclusive borrow; required for training).
+    /// Training forward (exclusive borrow): caches what `backward` needs.
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor;
 
-    /// Inference forward over a shared borrow. Must ignore `ctx.train`
-    /// caching (there is nowhere to cache) and produce bit-identical
-    /// outputs to a non-training `forward`.
+    /// Inference forward over a shared borrow.
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor;
 
-    /// Backward pass (valid after a `train` forward).
+    /// Backward pass (valid after a `forward`).
     fn backward(&mut self, dout: Tensor) -> Tensor;
 
     /// Visits all trainable parameters with hierarchical names.
@@ -338,7 +342,7 @@ mod tests {
 
     #[test]
     fn path_stack() {
-        let mut c = Ctx::inference();
+        let mut c = Ctx::new();
         assert_eq!(c.path(), "");
         c.push("net");
         c.push("0");
@@ -418,13 +422,13 @@ mod tests {
         let a = PlanWeight::plain(Tensor::full(&[1], 1.0));
         let b = PlanWeight::packed_rhs(Tensor::full(&[1, 1], 2.0));
         let slots = [a, b];
-        let mut c = Ctx::inference().with_overrides(&slots);
+        let mut c = Ctx::new().with_overrides(&slots);
         assert_eq!(c.next_override().unwrap().value.data(), &[1.0]);
         let second = c.next_override().unwrap();
         assert_eq!(second.value.data(), &[2.0]);
         assert!(second.packed_t.is_some());
         assert_eq!(c.overrides_consumed(), 2);
-        let mut plain = Ctx::inference();
+        let mut plain = Ctx::new();
         assert!(plain.next_override().is_none());
         assert_eq!(plain.overrides_consumed(), 0);
     }

@@ -10,6 +10,11 @@
 //! calibrates and fake-quantizes models without the layers knowing anything
 //! about number formats.
 //!
+//! Every [`Layer`] has two forwards. `forward` is the training forward: it
+//! caches what `backward` needs. `forward_ref` is the inference forward:
+//! it only reads the network, and every prediction, calibration and
+//! quantized forward runs through it.
+//!
 //! ```
 //! use mersit_nn::layers::{Act, ActKind, Linear, Sequential};
 //! use mersit_nn::layer::{Ctx, Layer};
@@ -20,7 +25,12 @@
 //! net.push(Linear::new(4, 8, &mut rng));
 //! net.push(Act::new(ActKind::Relu));
 //! net.push(Linear::new(8, 2, &mut rng));
-//! let logits = net.forward(Tensor::zeros(&[1, 4]), &mut Ctx::inference());
+//! // Training step: `forward` caches, `backward` consumes the caches.
+//! let y = net.forward(Tensor::full(&[1, 4], 1.0), &mut Ctx::new());
+//! let dx = net.backward(Tensor::full(y.shape(), 1.0));
+//! assert_eq!(dx.shape(), &[1, 4]);
+//! // Inference over a shared borrow.
+//! let logits = net.forward_ref(Tensor::zeros(&[1, 4]), &mut Ctx::new());
 //! assert_eq!(logits.shape(), &[1, 2]);
 //! ```
 
@@ -68,6 +78,5 @@ pub use param::{Param, RefParamVisitor};
 pub use site::{trace_sites, Site, SiteId, SiteTable};
 pub use stats::{profile_model, LayerStats, ModelProfile};
 pub use train::{
-    predict, predict_one_batch_ref, predict_ref, train_classifier, OptState, Optimizer, Split,
-    TrainConfig,
+    predict_one_batch_ref, predict_ref, train_classifier, OptState, Optimizer, Split, TrainConfig,
 };

@@ -353,10 +353,10 @@ mod tests {
     #[test]
     fn vision_models_produce_logits() {
         let mut count = 0;
-        for mut m in vision_zoo(12, 10, 42) {
+        for m in vision_zoo(12, 10, 42) {
             let mut rng = Rng::new(1);
             let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
-            let y = m.net.forward(x, &mut Ctx::inference());
+            let y = m.net.forward_ref(x, &mut Ctx::new());
             assert_eq!(y.shape(), &[2, 10], "{}", m.name);
             assert!(y.data().iter().all(|v| v.is_finite()), "{}", m.name);
             count += 1;
@@ -369,7 +369,7 @@ mod tests {
         for mut m in vision_zoo(12, 10, 7) {
             let mut rng = Rng::new(2);
             let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
-            let y = m.net.forward(x, &mut Ctx::training());
+            let y = m.net.forward(x, &mut Ctx::new());
             let g = Tensor::randn(y.shape(), 1.0, &mut rng);
             let dx = m.net.backward(g);
             assert_eq!(dx.shape(), &[2, 3, 12, 12], "{}", m.name);
@@ -387,7 +387,7 @@ mod tests {
                 .collect(),
             &[2, 16],
         );
-        let y = m.net.forward(ids, &mut Ctx::training());
+        let y = m.net.forward(ids, &mut Ctx::new());
         assert_eq!(y.shape(), &[2, 3]);
         let g = Tensor::randn(y.shape(), 1.0, &mut rng);
         let _ = m.net.backward(g);

@@ -204,7 +204,7 @@ pub fn train_classifier(net: &mut dyn Layer, train: &Split, cfg: &TrainConfig) -
         for chunk in order.chunks(cfg.batch_size) {
             let _step_span = mersit_obs::span("nn.train.step");
             let (x, y) = train.batch(chunk);
-            let logits = net.forward(x, &mut Ctx::training());
+            let logits = net.forward(x, &mut Ctx::new());
             let (loss, dlogits) = cross_entropy(&logits, &y);
             net.backward(dlogits);
             state.apply(net, &cfg.opt, lr_scale);
@@ -217,14 +217,9 @@ pub fn train_classifier(net: &mut dyn Layer, train: &Split, cfg: &TrainConfig) -
     losses
 }
 
-/// Runs inference and returns the predicted class per sample.
-pub fn predict(net: &mut dyn Layer, inputs: &Tensor, batch: usize) -> Vec<usize> {
-    predict_ref(&*net, inputs, batch)
-}
-
-/// Shared-reference inference: like [`predict`] but needs only `&` access
-/// to the network, so callers can run several predictions concurrently
-/// over one model.
+/// Runs FP32 inference and returns the predicted class per sample. Needs
+/// only `&` access to the network, so callers can run several predictions
+/// concurrently over one model.
 ///
 /// Samples are sharded across the global pool in whole-batch chunks
 /// (`Layer: Send + Sync` makes `&dyn Layer` shareable); each sample's
@@ -260,7 +255,7 @@ pub fn predict_ref(net: &dyn Layer, inputs: &Tensor, batch: usize) -> Vec<usize>
 #[must_use]
 pub fn predict_one_batch_ref(net: &dyn Layer, x: Tensor) -> Vec<usize> {
     let _batch_span = mersit_obs::span("nn.predict.batch");
-    let logits = net.forward_ref(x, &mut Ctx::inference());
+    let logits = net.forward_ref(x, &mut Ctx::new());
     crate::metrics::argmax_rows(&logits)
 }
 
@@ -309,7 +304,7 @@ mod tests {
         };
         let losses = train_classifier(&mut net, &train, &cfg);
         assert!(losses.last().unwrap() < &(losses[0] * 0.5), "{losses:?}");
-        let preds = predict(&mut net, &test.inputs, 64);
+        let preds = predict_ref(&net, &test.inputs, 64);
         let acc = preds
             .iter()
             .zip(&test.labels)

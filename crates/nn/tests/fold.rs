@@ -31,9 +31,9 @@ fn folding_preserves_inference_outputs() {
         },
     );
     let x = ds.test.inputs.slice_outer(0, 16);
-    let before = model.net.forward(x.clone(), &mut Ctx::inference());
+    let before = model.net.forward_ref(x.clone(), &mut Ctx::new());
     model.net.fold_bn();
-    let after = model.net.forward(x, &mut Ctx::inference());
+    let after = model.net.forward_ref(x, &mut Ctx::new());
     assert_eq!(before.shape(), after.shape());
     for (a, b) in before.data().iter().zip(after.data()) {
         assert!(

@@ -6,7 +6,7 @@ use crate::bittrue::Executor;
 use crate::calibrate::{calibrate, Calibration};
 use crate::executor::QuantPlan;
 use mersit_core::FormatRef;
-use mersit_nn::{accuracy, f1_binary, matthews, predict, Dataset, Model};
+use mersit_nn::{accuracy, f1_binary, matthews, predict_ref, Dataset, Model};
 
 /// Which GLUE-style metric a task reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +79,7 @@ impl EvalRow {
 /// `bittrue` runs every GEMM on raw codes with exact Kulisch
 /// accumulation.
 pub fn evaluate_model(
-    model: &mut Model,
+    model: &Model,
     ds: &Dataset,
     formats: &[FormatRef],
     metric: Metric,
@@ -98,7 +98,7 @@ pub fn evaluate_model(
 /// are labeled by the canonical [`FormatAssignment::name`], so uniform
 /// rows keep their plain format names.
 pub fn evaluate_assignments(
-    model: &mut Model,
+    model: &Model,
     ds: &Dataset,
     assigns: &[FormatAssignment],
     metric: Metric,
@@ -106,17 +106,16 @@ pub fn evaluate_assignments(
 ) -> (EvalRow, Calibration) {
     let executor = Executor::from_env();
     let cal = calibrate(model, &ds.calib.inputs, batch);
-    let fp_preds = predict(&mut model.net, &ds.test.inputs, batch);
+    let fp_preds = predict_ref(&model.net, &ds.test.inputs, batch);
     let fp32 = metric.score(&fp_preds, &ds.test.labels);
     let scores = {
         let _sweep = mersit_obs::span("ptq.sweep");
-        let shared: &Model = model;
         assigns
             .iter()
             .map(|assign| {
                 let _span = mersit_obs::span_dyn(|| format!("ptq.evaluate.{}", assign.name()));
-                let plan = QuantPlan::build_with(shared, assign.clone(), &cal, executor);
-                let preds = plan.predict(shared, &ds.test.inputs, batch);
+                let plan = QuantPlan::build_with(model, assign.clone(), &cal, executor);
+                let preds = plan.predict(model, &ds.test.inputs, batch);
                 FormatScore {
                     format: assign.name(),
                     score: metric.score(&preds, &ds.test.labels),
@@ -188,7 +187,7 @@ mod tests {
             parse_format("MERSIT(8,2)").unwrap(),
             parse_format("Posit(8,1)").unwrap(),
         ];
-        let (row, cal) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 32);
+        let (row, cal) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 32);
         assert!(cal.num_sites() > 5);
         assert!(row.fp32 > 30.0, "model failed to learn: {}", row.fp32);
         for s in &row.scores {

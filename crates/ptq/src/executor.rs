@@ -281,7 +281,7 @@ mod tests {
     use crate::calibrate::calibrate;
     use mersit_core::{parse_format, table2_formats};
     use mersit_nn::models::{mobilenet_v3_t, vgg_t};
-    use mersit_nn::predict;
+    use mersit_nn::predict_ref;
     use mersit_tensor::Rng;
 
     #[test]
@@ -305,10 +305,10 @@ mod tests {
         // Quantizing through a wide format (MERSIT at 4-bit fraction) on a
         // random model should keep most predictions identical.
         let mut rng = Rng::new(3);
-        let mut model = vgg_t(12, 10, &mut rng);
+        let model = vgg_t(12, 10, &mut rng);
         let x = Tensor::randn(&[16, 3, 12, 12], 1.0, &mut rng);
         let cal = calibrate(&model, &x, 8);
-        let fp = predict(&mut model.net, &x, 8);
+        let fp = predict_ref(&model.net, &x, 8);
         let plan = QuantPlan::build(&model, parse_format("MERSIT(8,2)").unwrap(), &cal);
         let q = plan.predict(&model, &x, 8);
         let agree = fp.iter().zip(&q).filter(|(a, b)| a == b).count();
@@ -320,10 +320,10 @@ mod tests {
         // FP(8,2) has a tiny dynamic range; it should disagree with FP32 at
         // least as much as MERSIT(8,2) does.
         let mut rng = Rng::new(4);
-        let mut model = vgg_t(12, 10, &mut rng);
+        let model = vgg_t(12, 10, &mut rng);
         let x = Tensor::randn(&[24, 3, 12, 12], 2.0, &mut rng);
         let cal = calibrate(&model, &x, 8);
-        let fp = predict(&mut model.net, &x, 8);
+        let fp = predict_ref(&model.net, &x, 8);
         let agree = |name: &str| {
             let plan = QuantPlan::build(&model, parse_format(name).unwrap(), &cal);
             let q = plan.predict(&model, &x, 8);

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parse_format("MERSIT(8,2)")?,
         parse_format("MERSIT(8,3)")?,
     ];
-    let (row, cal) = evaluate_model(&mut model, &ds, &formats, Metric::Matthews, 50);
+    let (row, cal) = evaluate_model(&model, &ds, &formats, Metric::Matthews, 50);
     println!(
         "\ncalibrated {} activation sites; scoring with Matthews correlation x100:\n",
         cal.num_sites()

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         parse_format("Posit(8,1)")?,
         parse_format("MERSIT(8,2)")?,
     ];
-    let (row, cal) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+    let (row, cal) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
     println!(
         "\ncalibrated {} activation sites on {} samples",
         cal.num_sites(),

@@ -31,7 +31,7 @@ fn benign_model_every_format_holds() {
         parse_format("Posit(8,1)").unwrap(),
         parse_format("MERSIT(8,2)").unwrap(),
     ];
-    let (row, _) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+    let (row, _) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
     assert!(row.fp32 > 65.0, "fp32 failed to train: {}", row.fp32);
     for s in &row.scores {
         assert!(
@@ -58,7 +58,7 @@ fn range_hungry_model_separates_formats() {
         parse_format("Posit(8,1)").unwrap(),
         parse_format("MERSIT(8,2)").unwrap(),
     ];
-    let (row, _) = evaluate_model(&mut model, &ds, &formats, Metric::Accuracy, 50);
+    let (row, _) = evaluate_model(&model, &ds, &formats, Metric::Accuracy, 50);
     assert!(row.fp32 > 60.0, "fp32 failed to train: {}", row.fp32);
     let s = |n: &str| row.score_of(n).unwrap();
     let robust = s("MERSIT(8,2)").min(s("Posit(8,1)"));
