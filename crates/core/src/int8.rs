@@ -6,7 +6,6 @@
 //! for completeness, but the encoder never produces it, keeping the grid
 //! symmetric.
 
-use crate::error::InvalidFormatError;
 use crate::fields::{Decoded, ValueClass};
 use crate::format::{Format, UnderflowPolicy};
 use crate::quant_lut::FormatCaches;
@@ -34,17 +33,6 @@ impl Int8 {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a general `bits`-wide symmetric integer format is not
-    /// supported; INT8 is fixed at 8 bits. This constructor exists for
-    /// symmetry with the other formats and always succeeds.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` keeps the constructor signature uniform.
-    pub fn try_new() -> Result<Self, InvalidFormatError> {
-        Ok(Self::new())
     }
 }
 

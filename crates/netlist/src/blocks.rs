@@ -27,17 +27,6 @@ impl Netlist {
         (Bus(sum), carry.expect("non-empty adder"))
     }
 
-    /// Adder with result width extended by one bit (no overflow loss),
-    /// treating the operands as **unsigned**.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn add_extend(&mut self, a: &Bus, b: &Bus) -> Bus {
-        let (sum, cout) = self.ripple_add(a, b, None);
-        sum.concat(&cout.into())
-    }
-
     /// Two's-complement **signed** adder producing a `max(w)+1`-bit result
     /// (the "Signed Adder (P+1)" of Fig. 2).
     pub fn signed_add(&mut self, a: &Bus, b: &Bus) -> Bus {

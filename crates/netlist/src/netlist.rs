@@ -285,12 +285,6 @@ impl Netlist {
         parts.join("/")
     }
 
-    /// Number of scopes (root included).
-    #[must_use]
-    pub fn num_scopes(&self) -> usize {
-        self.scopes.len()
-    }
-
     fn push_gate(&mut self, kind: CellKind, inputs: Vec<NetId>, n_out: usize) -> Vec<NetId> {
         debug_assert_eq!(inputs.len(), kind.num_inputs());
         debug_assert_eq!(n_out, kind.num_outputs());
@@ -513,15 +507,6 @@ impl Netlist {
         self.reduce(nets, Self::or2)
     }
 
-    /// XOR-reduction tree over arbitrary fan-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty input.
-    pub fn xor_reduce(&mut self, nets: &[NetId]) -> NetId {
-        self.reduce(nets, Self::xor2)
-    }
-
     fn reduce(&mut self, nets: &[NetId], op: fn(&mut Self, NetId, NetId) -> NetId) -> NetId {
         assert!(!nets.is_empty(), "reduction over empty set");
         let mut layer: Vec<NetId> = nets.to_vec();
@@ -546,20 +531,6 @@ impl Netlist {
         Bus(a.iter().map(|&n| self.not(n)).collect())
     }
 
-    /// Bitwise binary op over two equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn zip_bus(&mut self, a: &Bus, b: &Bus, op: fn(&mut Self, NetId, NetId) -> NetId) -> Bus {
-        assert_eq!(a.width(), b.width(), "bus width mismatch");
-        Bus(a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| op(self, x, y))
-            .collect())
-    }
-
     /// Bus-wide 2:1 mux: `sel ? d1 : d0` per bit.
     ///
     /// # Panics
@@ -572,11 +543,6 @@ impl Netlist {
             .zip(d0.iter())
             .map(|(&x1, &x0)| self.mux2(sel, x1, x0))
             .collect())
-    }
-
-    /// Registers every bit of a bus through DFFs.
-    pub fn dff_bus(&mut self, d: &Bus) -> Bus {
-        Bus(d.iter().map(|&n| self.dff(n)).collect())
     }
 
     /// Zero-extends a bus to `width` bits.

@@ -84,11 +84,6 @@ impl Rng {
         r * c
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

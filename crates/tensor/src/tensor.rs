@@ -77,19 +77,6 @@ impl Tensor {
         }
     }
 
-    /// Uniform(lo, hi) initialized tensor.
-    #[must_use]
-    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let n = shape.iter().product();
-        let data = (0..n)
-            .map(|_| rng.uniform_in(f64::from(lo), f64::from(hi)) as f32)
-            .collect();
-        Self {
-            data,
-            shape: shape.to_vec(),
-        }
-    }
-
     /// Kaiming/He initialization for a layer with `fan_in` inputs.
     #[must_use]
     pub fn kaiming(shape: &[usize], fan_in: usize, rng: &mut Rng) -> Self {
@@ -124,12 +111,6 @@ impl Tensor {
     /// Flat mutable data view.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its storage.
-    #[must_use]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reinterprets the tensor with a new shape of equal volume.
