@@ -10,6 +10,7 @@
 //! remainder) must be zero — CI asserts this on the quick run.
 
 use mersit_nn::models::{mobilenet_v3_t, vgg_t};
+use mersit_obs::report::json_string;
 use mersit_ptq::{calibrate, Executor};
 use mersit_serve::{wire, NetConfig, Request, ServeConfig, Server};
 use mersit_tensor::{par, Rng, Tensor};
@@ -666,15 +667,22 @@ pub fn run_serve_bench(quick: bool, net_addr: Option<&str>) -> ServeBenchReport 
     }
 }
 
-/// Serializes a report to `BENCH_serve.json`.
+/// Writes [`serve_json`] to `BENCH_serve.json`.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
 pub fn write_serve_json(report: &ServeBenchReport) {
+    std::fs::write("BENCH_serve.json", serve_json(report)).expect("write BENCH_serve.json");
+    println!("wrote BENCH_serve.json");
+}
+
+/// Renders a report as the `BENCH_serve.json` document.
+#[must_use]
+pub fn serve_json(report: &ServeBenchReport) -> String {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"threads\": {},", report.threads);
-    let _ = writeln!(json, "  \"simd_isa\": \"{}\",", report.simd_isa);
+    let _ = writeln!(json, "  \"simd_isa\": {},", json_string(&report.simd_isa));
     let _ = writeln!(json, "  \"quick\": {},", report.quick);
     let _ = writeln!(json, "  \"max_batch\": {},", report.max_batch);
     let _ = writeln!(json, "  \"max_wait_us\": {},", report.max_wait_us);
@@ -683,15 +691,15 @@ pub fn write_serve_json(report: &ServeBenchReport) {
     for (i, r) in report.runs.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"model\": \"{}\", \"format\": \"{}\", \"executor\": \"{}\", \
-             \"mode\": \"{}\", \"offered\": {}, \"requests\": {}, \"completed\": {}, \
+            "    {{\"model\": {}, \"format\": {}, \"executor\": {}, \
+             \"mode\": {}, \"offered\": {}, \"requests\": {}, \"completed\": {}, \
              \"rejected\": {}, \"failed\": {}, \"unanswered\": {}, \
              \"reqs_per_sec\": {:.2}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
              \"mean_batch\": {:.2}}}",
-            r.model,
-            r.format,
-            r.executor,
-            r.mode,
+            json_string(&r.model),
+            json_string(&r.format),
+            json_string(&r.executor),
+            json_string(&r.mode),
             r.offered,
             r.requests,
             r.completed,
@@ -712,19 +720,19 @@ pub fn write_serve_json(report: &ServeBenchReport) {
     }
     json.push_str("  ],\n");
     json.push_str("  \"net\": {\n");
-    let _ = writeln!(json, "    \"addr\": \"{}\",", report.net.addr);
+    let _ = writeln!(json, "    \"addr\": {},", json_string(&report.net.addr));
     let _ = writeln!(json, "    \"self_hosted\": {},", report.net.self_hosted);
     json.push_str("    \"runs\": [\n");
     for (i, r) in report.net.runs.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"model\": \"{}\", \"format\": \"{}\", \"executor\": \"{}\", \
+            "      {{\"model\": {}, \"format\": {}, \"executor\": {}, \
              \"connections\": {}, \"pipeline\": {}, \"requests\": {}, \"completed\": {}, \
              \"wire_errors\": {}, \"failed\": {}, \"unanswered\": {}, \
              \"reqs_per_sec\": {:.2}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}}}",
-            r.model,
-            r.format,
-            r.executor,
+            json_string(&r.model),
+            json_string(&r.format),
+            json_string(&r.executor),
             r.connections,
             r.pipeline,
             r.requests,
@@ -744,6 +752,30 @@ pub fn write_serve_json(report: &ServeBenchReport) {
         });
     }
     json.push_str("    ]\n  }\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
+    json
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_json_escapes_string_values() {
+        let report = ServeBenchReport {
+            threads: 1,
+            simd_isa: "scalar".to_owned(),
+            quick: true,
+            max_batch: 8,
+            max_wait_us: 500,
+            queue_depth: 64,
+            runs: Vec::new(),
+            net: NetSection {
+                addr: "a\"b\\c".to_owned(),
+                self_hosted: false,
+                runs: Vec::new(),
+            },
+        };
+        let json = serve_json(&report);
+        assert!(json.contains(r#"    "addr": "a\"b\\c","#), "{json}");
+    }
 }

@@ -55,7 +55,7 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"version\": {REPORT_VERSION},");
-        let _ = writeln!(out, "  \"bin\": \"{}\",", escape(&self.bin));
+        let _ = writeln!(out, "  \"bin\": {},", json_string(&self.bin));
 
         out.push_str("  \"spans\": [");
         for (i, s) in self.snapshot.spans.iter().enumerate() {
@@ -63,9 +63,9 @@ impl RunReport {
             let mean = s.stats.total_ns as f64 / s.stats.count.max(1) as f64;
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"total_ns\": {}, \
                  \"min_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}}",
-                escape(&s.name),
+                json_string(&s.name),
                 s.stats.count,
                 s.stats.total_ns,
                 s.stats.min_ns,
@@ -80,8 +80,8 @@ impl RunReport {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"value\": {}}}",
-                escape(&c.name),
+                "    {{\"name\": {}, \"value\": {}}}",
+                json_string(&c.name),
                 c.value
             );
         }
@@ -92,9 +92,9 @@ impl RunReport {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             let _ = write!(
                 out,
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \
+                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \
                  \"min\": {}, \"max\": {}, \"buckets\": [",
-                escape(&h.name),
+                json_string(&h.name),
                 h.stats.count,
                 json_f64(h.stats.sum),
                 json_f64(h.stats.min),
@@ -169,7 +169,15 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a metric name for embedding in a JSON string literal.
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped. The run report and the bench, pareto and
+/// co-verification writers pass every string value through this.
+#[must_use]
+pub fn json_string(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
+/// Escapes text for embedding in a JSON string literal.
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -208,6 +216,9 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("x\ny"), "x\\ny");
+        assert_eq!(escape("\u{1b}[0m"), "\\u001b[0m");
+        assert_eq!(escape("\0\u{1f}\u{7f}"), "\\u0000\\u001f\u{7f}");
+        assert_eq!(json_string("t\tr\r"), "\"t\\tr\\r\"");
     }
 
     #[test]

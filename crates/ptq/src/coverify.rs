@@ -34,6 +34,7 @@ use crate::calibrate::Calibration;
 use crate::executor::{PlanTap, QuantPlan};
 use crate::quantizer::quantize_tensor;
 use mersit_nn::{argmax_rows, Ctx, Layer, Model, Site, Tap};
+use mersit_obs::report::json_string;
 use mersit_tensor::Tensor;
 
 /// Accumulated activation divergence at one tap site.
@@ -78,8 +79,8 @@ impl DivergenceReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"model\": {:?},\n", self.model));
-        out.push_str(&format!("  \"format\": {:?},\n", self.format));
+        out.push_str(&format!("  \"model\": {},\n", json_string(&self.model)));
+        out.push_str(&format!("  \"format\": {},\n", json_string(&self.format)));
         out.push_str(&format!("  \"samples\": {},\n", self.samples));
         out.push_str(&format!(
             "  \"logits_max_abs\": {:.9e},\n",
@@ -89,8 +90,8 @@ impl DivergenceReport {
         out.push_str("  \"sites\": [\n");
         for (i, s) in self.sites.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"path\": {:?}, \"elems\": {}, \"max_abs\": {:.9e}, \"mean_abs\": {:.9e}}}{}\n",
-                s.path,
+                "    {{\"path\": {}, \"elems\": {}, \"max_abs\": {:.9e}, \"mean_abs\": {:.9e}}}{}\n",
+                json_string(&s.path),
                 s.elems,
                 s.max_abs,
                 s.mean_abs,
