@@ -60,10 +60,11 @@ proptest! {
     /// The interned table round-trips exactly to the legacy string
     /// paths: an ad-hoc forward visits the same paths in the same
     /// order, ids are dense in visit order, and `get`/`path` are
-    /// mutually inverse over every interned site.
+    /// mutually inverse over every interned site. The training forward
+    /// taps the same sites in the same order as `forward_ref`.
     #[test]
     fn table_round_trips_legacy_string_paths(seed in 0u64..(1 << 32)) {
-        for (model, x) in zoo(seed) {
+        for (mut model, x) in zoo(seed) {
             let table = model.trace(&x);
             let mut rec = Recorder { events: Vec::new() };
             let mut ctx = Ctx::with_tap(&mut rec);
@@ -74,6 +75,9 @@ proptest! {
                 prop_assert_eq!(table.path(SiteId(*id as u32)), path.as_str());
                 prop_assert_eq!(table.get(path).map(SiteId::index), Some(*id));
             }
+            let mut train = Recorder { events: Vec::new() };
+            let _ = model.net.forward(x.clone(), &mut Ctx::with_tap(&mut train));
+            prop_assert_eq!(&train.events, &rec.events, "training sites in {}", &model.name);
         }
     }
 }
