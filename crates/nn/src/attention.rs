@@ -2,7 +2,7 @@
 //! token/position embedding, multi-head self-attention, and the encoder
 //! block. Sequence activations are `[N, T, D]`.
 
-use crate::layer::{join_path, Ctx, Layer};
+use crate::layer::{join_path, Ctx, Layer, Pass};
 use crate::layers::{Act, ActKind, Linear, Sequential};
 use crate::param::{Param, ParamVisitor, RefParamVisitor};
 use mersit_tensor::{softmax_rows, Rng, Tensor};
@@ -152,40 +152,37 @@ impl Embedding {
     }
 }
 
+/// Both forwards' gather: row `r` of the `[N, T]` ids `x` becomes
+/// `table[id] + pos[r mod T]`. Returns `[N, T, D]` and the ids.
+fn embed(x: &Tensor, table: &Tensor, pos: &Tensor) -> (Tensor, Vec<usize>) {
+    let (n, t) = (x.shape()[0], x.shape()[1]);
+    let (vocab, d) = (table.shape()[0], table.shape()[1]);
+    let (td, pd) = (table.data(), pos.data());
+    let mut out = vec![0.0f32; n * t * d];
+    let mut ids = Vec::with_capacity(n * t);
+    for (row, (&v, o)) in x.data().iter().zip(out.chunks_exact_mut(d)).enumerate() {
+        let id = v as usize;
+        assert!(id < vocab, "token id {id} out of vocabulary (size {vocab})");
+        let p = row % t;
+        let (tab, pv) = (&td[id * d..(id + 1) * d], &pd[p * d..(p + 1) * d]);
+        for i in 0..d {
+            o[i] = tab[i] + pv[i];
+        }
+        ids.push(id);
+    }
+    (Tensor::from_vec(out, &[n, t, d]), ids)
+}
+
 impl Layer for Embedding {
     fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
         // x: [N, T] token ids stored as f32.
-        let (n, t) = (x.shape()[0], x.shape()[1]);
-        let d = self.dim;
-        let vocab = self.table.value.shape()[0];
-        let ids: Vec<usize> = x
-            .data()
-            .iter()
-            .map(|&v| {
-                let id = v as usize;
-                assert!(id < vocab, "token id {id} out of vocabulary (size {vocab})");
-                id
-            })
-            .collect();
-        let (td, pd) = (self.table.value.data(), self.pos.value.data());
-        let mut out = vec![0.0f32; n * t * d];
-        for (row, &id) in ids.iter().enumerate() {
-            let pos = row % t;
-            let o = &mut out[row * d..(row + 1) * d];
-            let tab = &td[id * d..(id + 1) * d];
-            let pv = &pd[pos * d..(pos + 1) * d];
-            for i in 0..d {
-                o[i] = tab[i] + pv[i];
-            }
-        }
+        let (out, ids) = embed(&x, &self.table.value, &self.pos.value);
         self.cache_ids = Some(ids);
-        self.cache_nt = (n, t);
-        Tensor::from_vec(out, &[n, t, d])
+        self.cache_nt = (x.shape()[0], x.shape()[1]);
+        out
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, t) = (x.shape()[0], x.shape()[1]);
-        let d = self.dim;
         // Override order matches `visit_params`: table, then pos.
         let table = ctx
             .next_override()
@@ -193,21 +190,7 @@ impl Layer for Embedding {
         let pos_tab = ctx.next_override().map_or(&self.pos.value, |pw| &pw.value);
         debug_assert_eq!(table.shape(), self.table.value.shape());
         debug_assert_eq!(pos_tab.shape(), self.pos.value.shape());
-        let vocab = table.shape()[0];
-        let (td, pd) = (table.data(), pos_tab.data());
-        let mut out = vec![0.0f32; n * t * d];
-        for (row, &v) in x.data().iter().enumerate() {
-            let id = v as usize;
-            assert!(id < vocab, "token id {id} out of vocabulary (size {vocab})");
-            let pos = row % t;
-            let o = &mut out[row * d..(row + 1) * d];
-            let tab = &td[id * d..(id + 1) * d];
-            let pv = &pd[pos * d..(pos + 1) * d];
-            for i in 0..d {
-                o[i] = tab[i] + pv[i];
-            }
-        }
-        Tensor::from_vec(out, &[n, t, d])
+        embed(&x, table, pos_tab).0
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -288,101 +271,86 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Extracts head `h` of row-major `[N·T, D]` as `[T, dh]` for batch `n`.
-    fn head(&self, x: &Tensor, n: usize, h: usize, t: usize) -> Tensor {
-        let dh = self.dim / self.heads;
-        let xd = x.data();
-        let mut out = vec![0.0f32; t * dh];
-        for ti in 0..t {
-            let row = (n * t + ti) * self.dim + h * dh;
-            out[ti * dh..(ti + 1) * dh].copy_from_slice(&xd[row..row + dh]);
+    /// Both forwards' body: projects `x` through `wq`, `wk` and `wv`,
+    /// attends per batch item and head, and projects the concatenated
+    /// heads through `wo`. Returns the output and what `backward` needs.
+    fn run(
+        [wq, wk, wv, wo]: [Pass<'_, Linear>; 4],
+        (dim, heads): (usize, usize),
+        x: Tensor,
+        ctx: &mut Ctx<'_>,
+    ) -> (Tensor, MhaCache) {
+        let (n, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        assert_eq!(d, dim, "model dim mismatch");
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        ctx.push("wq");
+        let q = wq.run(x.clone(), ctx);
+        ctx.pop();
+        ctx.push("wk");
+        let k = wk.run(x.clone(), ctx);
+        ctx.pop();
+        ctx.push("wv");
+        let v = wv.run(x, ctx);
+        ctx.pop();
+        let mut concat = Tensor::zeros(&[n, t, d]);
+        let mut probs = Vec::with_capacity(n * heads);
+        for ni in 0..n {
+            for h in 0..heads {
+                let qh = head(&q, ni, h, dh);
+                let kh = head(&k, ni, h, dh);
+                let vh = head(&v, ni, h, dh);
+                let scores = qh.matmul(&kh.transpose()).scale(scale);
+                let p = softmax_rows(&scores);
+                let oh = p.matmul(&vh);
+                scatter_head(&mut concat, &oh, ni, h);
+                probs.push(p);
+            }
         }
-        Tensor::from_vec(out, &[t, dh])
+        ctx.push("wo");
+        let out = wo.run(concat, ctx);
+        ctx.pop();
+        let nt = (n, t);
+        (out, MhaCache { q, k, v, probs, nt })
     }
+}
 
-    fn scatter_head(&self, dst: &mut Tensor, src: &Tensor, n: usize, h: usize, t: usize) {
-        let dh = self.dim / self.heads;
-        let dd = dst.data_mut();
-        let sd = src.data();
-        for ti in 0..t {
-            let row = (n * t + ti) * self.dim + h * dh;
-            dd[row..row + dh].copy_from_slice(&sd[ti * dh..(ti + 1) * dh]);
-        }
+/// Extracts head `h` (width `dh`) of batch item `n` of `[N, T, D]` `x`
+/// as `[T, dh]`.
+fn head(x: &Tensor, n: usize, h: usize, dh: usize) -> Tensor {
+    let (t, d) = (x.shape()[1], x.shape()[2]);
+    let xd = x.data();
+    let mut out = vec![0.0f32; t * dh];
+    for ti in 0..t {
+        let row = (n * t + ti) * d + h * dh;
+        out[ti * dh..(ti + 1) * dh].copy_from_slice(&xd[row..row + dh]);
+    }
+    Tensor::from_vec(out, &[t, dh])
+}
+
+/// Writes `[T, dh]` `src` into head `h` of batch item `n` of `[N, T, D]`
+/// `dst` (the inverse of [`head`]).
+fn scatter_head(dst: &mut Tensor, src: &Tensor, n: usize, h: usize) {
+    let (t, dh) = (src.shape()[0], src.shape()[1]);
+    let d = dst.shape()[2];
+    let (dd, sd) = (dst.data_mut(), src.data());
+    for ti in 0..t {
+        let row = (n * t + ti) * d + h * dh;
+        dd[row..row + dh].copy_from_slice(&sd[ti * dh..(ti + 1) * dh]);
     }
 }
 
 impl Layer for MultiHeadAttention {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        assert_eq!(d, self.dim, "model dim mismatch");
-        let dh = d / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        ctx.push("wq");
-        let q = self.wq.forward(x.clone(), ctx);
-        ctx.pop();
-        ctx.push("wk");
-        let k = self.wk.forward(x.clone(), ctx);
-        ctx.pop();
-        ctx.push("wv");
-        let v = self.wv.forward(x, ctx);
-        ctx.pop();
-        let mut concat = Tensor::zeros(&[n, t, d]);
-        let mut probs = Vec::with_capacity(n * self.heads);
-        for ni in 0..n {
-            for h in 0..self.heads {
-                let qh = self.head(&q, ni, h, t);
-                let kh = self.head(&k, ni, h, t);
-                let vh = self.head(&v, ni, h, t);
-                let scores = qh.matmul(&kh.transpose()).scale(scale);
-                let p = softmax_rows(&scores);
-                let oh = p.matmul(&vh);
-                self.scatter_head(&mut concat, &oh, ni, h, t);
-                probs.push(p);
-            }
-        }
-        self.cache = Some(MhaCache {
-            q,
-            k,
-            v,
-            probs,
-            nt: (n, t),
-        });
-        ctx.push("wo");
-        let out = self.wo.forward(concat, ctx);
-        ctx.pop();
+        let proj = [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo].map(Pass::Train);
+        let (out, cache) = Self::run(proj, (self.dim, self.heads), x, ctx);
+        self.cache = Some(cache);
         out
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        assert_eq!(d, self.dim, "model dim mismatch");
-        let dh = d / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        ctx.push("wq");
-        let q = self.wq.forward_ref(x.clone(), ctx);
-        ctx.pop();
-        ctx.push("wk");
-        let k = self.wk.forward_ref(x.clone(), ctx);
-        ctx.pop();
-        ctx.push("wv");
-        let v = self.wv.forward_ref(x, ctx);
-        ctx.pop();
-        let mut concat = Tensor::zeros(&[n, t, d]);
-        for ni in 0..n {
-            for h in 0..self.heads {
-                let qh = self.head(&q, ni, h, t);
-                let kh = self.head(&k, ni, h, t);
-                let vh = self.head(&v, ni, h, t);
-                let scores = qh.matmul(&kh.transpose()).scale(scale);
-                let p = softmax_rows(&scores);
-                let oh = p.matmul(&vh);
-                self.scatter_head(&mut concat, &oh, ni, h, t);
-            }
-        }
-        ctx.push("wo");
-        let out = self.wo.forward_ref(concat, ctx);
-        ctx.pop();
-        out
+        let proj = [&self.wq, &self.wk, &self.wv, &self.wo].map(Pass::Infer);
+        Self::run(proj, (self.dim, self.heads), x, ctx).0
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -398,10 +366,10 @@ impl Layer for MultiHeadAttention {
         for ni in 0..n {
             for h in 0..self.heads {
                 let p = &probs[ni * self.heads + h];
-                let doh = self.head(&dconcat, ni, h, t);
-                let qh = self.head(&q, ni, h, t);
-                let kh = self.head(&k, ni, h, t);
-                let vh = self.head(&v, ni, h, t);
+                let doh = head(&dconcat, ni, h, dh);
+                let qh = head(&q, ni, h, dh);
+                let kh = head(&k, ni, h, dh);
+                let vh = head(&v, ni, h, dh);
                 // dV = Pᵀ · dO
                 let dvh = p.transpose().matmul(&doh);
                 // dP = dO · Vᵀ
@@ -420,9 +388,9 @@ impl Layer for MultiHeadAttention {
                 // dQ = dS · K ; dK = dSᵀ · Q
                 let dqh = ds.matmul(&kh);
                 let dkh = ds.transpose().matmul(&qh);
-                self.scatter_head(&mut dq, &dqh, ni, h, t);
-                self.scatter_head(&mut dk, &dkh, ni, h, t);
-                self.scatter_head(&mut dv, &dvh, ni, h, t);
+                scatter_head(&mut dq, &dqh, ni, h);
+                scatter_head(&mut dk, &dkh, ni, h);
+                scatter_head(&mut dv, &dvh, ni, h);
             }
         }
         let gx_q = self.wq.backward(dq);
@@ -475,6 +443,39 @@ impl TransformerBlock {
             ffn,
         }
     }
+
+    /// Both forwards' body: `x1 = x + attn(ln1(x))`, then
+    /// `x1 + ffn(ln2(x1))`, tapped after each norm, the attention and
+    /// the output.
+    fn run(
+        [ln1, ln2]: [Pass<'_, LayerNorm>; 2],
+        attn: Pass<'_, MultiHeadAttention>,
+        ffn: Pass<'_, Sequential>,
+        x: &Tensor,
+        ctx: &mut Ctx<'_>,
+    ) -> Tensor {
+        ctx.push("ln1");
+        let h = ln1.run(x.clone(), ctx);
+        let h = ctx.tap_activation(h);
+        ctx.pop();
+        ctx.push("attn");
+        let a = attn.run(h, ctx);
+        let a = ctx.tap_activation(a);
+        ctx.pop();
+        let x1 = x.add(&a);
+        ctx.push("ln2");
+        let h2 = ln2.run(x1.clone(), ctx);
+        let h2 = ctx.tap_activation(h2);
+        ctx.pop();
+        ctx.push("ffn");
+        let f = ffn.run(h2, ctx);
+        ctx.pop();
+        let out = x1.add(&f);
+        ctx.push("out");
+        let out = ctx.tap_activation(out);
+        ctx.pop();
+        out
+    }
 }
 
 impl Layer for TransformerBlock {
@@ -483,51 +484,15 @@ impl Layer for TransformerBlock {
     }
 
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        ctx.push("ln1");
-        let h = self.ln1.forward(x.clone(), ctx);
-        let h = ctx.tap_activation(h);
-        ctx.pop();
-        ctx.push("attn");
-        let a = self.attn.forward(h, ctx);
-        let a = ctx.tap_activation(a);
-        ctx.pop();
-        let x1 = x.add(&a);
-        ctx.push("ln2");
-        let h2 = self.ln2.forward(x1.clone(), ctx);
-        let h2 = ctx.tap_activation(h2);
-        ctx.pop();
-        ctx.push("ffn");
-        let f = self.ffn.forward(h2, ctx);
-        ctx.pop();
-        let out = x1.add(&f);
-        ctx.push("out");
-        let out = ctx.tap_activation(out);
-        ctx.pop();
-        out
+        let lns = [&mut self.ln1, &mut self.ln2].map(Pass::Train);
+        let (attn, ffn) = (Pass::Train(&mut self.attn), Pass::Train(&mut self.ffn));
+        Self::run(lns, attn, ffn, &x, ctx)
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        ctx.push("ln1");
-        let h = self.ln1.forward_ref(x.clone(), ctx);
-        let h = ctx.tap_activation(h);
-        ctx.pop();
-        ctx.push("attn");
-        let a = self.attn.forward_ref(h, ctx);
-        let a = ctx.tap_activation(a);
-        ctx.pop();
-        let x1 = x.add(&a);
-        ctx.push("ln2");
-        let h2 = self.ln2.forward_ref(x1.clone(), ctx);
-        let h2 = ctx.tap_activation(h2);
-        ctx.pop();
-        ctx.push("ffn");
-        let f = self.ffn.forward_ref(h2, ctx);
-        ctx.pop();
-        let out = x1.add(&f);
-        ctx.push("out");
-        let out = ctx.tap_activation(out);
-        ctx.pop();
-        out
+        let lns = [&self.ln1, &self.ln2].map(Pass::Infer);
+        let (attn, ffn) = (Pass::Infer(&self.attn), Pass::Infer(&self.ffn));
+        Self::run(lns, attn, ffn, &x, ctx)
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {

@@ -1,7 +1,7 @@
 //! Composite blocks: residual connections (ResNet / MobileNetV2 inverted
 //! bottlenecks) and squeeze-and-excitation (MobileNetV3 / EfficientNet).
 
-use crate::layer::{join_path, Ctx, Layer};
+use crate::layer::{join_path, Ctx, Layer, Pass};
 use crate::layers::{Act, ActKind, Linear, Sequential};
 use crate::param::{ParamVisitor, RefParamVisitor};
 use mersit_tensor::{dims4, global_avg_pool, global_avg_pool_backward, Rng, Tensor};
@@ -33,6 +33,32 @@ impl Residual {
             shortcut: Some(shortcut),
         }
     }
+
+    /// Both forwards' body: `main(x) + shortcut(x)`, tapped at `add`.
+    fn run(
+        main: Pass<'_, Sequential>,
+        shortcut: Option<Pass<'_, Sequential>>,
+        x: Tensor,
+        ctx: &mut Ctx<'_>,
+    ) -> Tensor {
+        ctx.push("main");
+        let m = main.run(x.clone(), ctx);
+        ctx.pop();
+        let s = match shortcut {
+            Some(sc) => {
+                ctx.push("shortcut");
+                let s = sc.run(x, ctx);
+                ctx.pop();
+                s
+            }
+            None => x,
+        };
+        let sum = m.add(&s);
+        ctx.push("add");
+        let out = ctx.tap_activation(sum);
+        ctx.pop();
+        out
+    }
 }
 
 impl Layer for Residual {
@@ -44,43 +70,13 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        ctx.push("main");
-        let m = self.main.forward(x.clone(), ctx);
-        ctx.pop();
-        let s = match &mut self.shortcut {
-            Some(sc) => {
-                ctx.push("shortcut");
-                let s = sc.forward(x, ctx);
-                ctx.pop();
-                s
-            }
-            None => x,
-        };
-        let sum = m.add(&s);
-        ctx.push("add");
-        let out = ctx.tap_activation(sum);
-        ctx.pop();
-        out
+        let shortcut = self.shortcut.as_mut().map(Pass::Train);
+        Self::run(Pass::Train(&mut self.main), shortcut, x, ctx)
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        ctx.push("main");
-        let m = self.main.forward_ref(x.clone(), ctx);
-        ctx.pop();
-        let s = match &self.shortcut {
-            Some(sc) => {
-                ctx.push("shortcut");
-                let s = sc.forward_ref(x, ctx);
-                ctx.pop();
-                s
-            }
-            None => x,
-        };
-        let sum = m.add(&s);
-        ctx.push("add");
-        let out = ctx.tap_activation(sum);
-        ctx.pop();
-        out
+        let shortcut = self.shortcut.as_ref().map(Pass::Infer);
+        Self::run(Pass::Infer(&self.main), shortcut, x, ctx)
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -141,71 +137,57 @@ impl SEBlock {
             cache: None,
         }
     }
+
+    /// Both forwards' body: pool → `fc1` → `act` → `fc2` → `gate`, then
+    /// each channel of `x` rescaled by its gate and tapped at `scale`.
+    /// Returns the output and the `[N, C]` gate.
+    fn run(
+        [fc1, fc2]: [Pass<'_, Linear>; 2],
+        [act, gate]: [Pass<'_, Act>; 2],
+        x: Tensor,
+        ctx: &mut Ctx<'_>,
+    ) -> (Tensor, Tensor) {
+        let (n, c, h, w) = dims4(&x);
+        let pooled = global_avg_pool(&x); // [N, C]
+        ctx.push("fc1");
+        let s = fc1.run(pooled, ctx);
+        ctx.pop();
+        let s = act.run(s, ctx);
+        ctx.push("fc2");
+        let s = fc2.run(s, ctx);
+        ctx.pop();
+        let scale = gate.run(s, ctx); // [N, C] in (0,1)
+        let mut out = x;
+        let (od, sd) = (out.data_mut(), scale.data());
+        for ni in 0..n {
+            for ci in 0..c {
+                let g = sd[ni * c + ci];
+                let base = (ni * c + ci) * h * w;
+                for v in &mut od[base..base + h * w] {
+                    *v *= g;
+                }
+            }
+        }
+        ctx.push("scale");
+        let out = ctx.tap_activation(out);
+        ctx.pop();
+        (out, scale)
+    }
 }
 
 impl Layer for SEBlock {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, c, h, w) = dims4(&x);
-        let pooled = global_avg_pool(&x); // [N, C]
-        ctx.push("fc1");
-        let s = self.fc1.forward(pooled, ctx);
-        ctx.pop();
-        let s = self.act.forward(s, ctx);
-        ctx.push("fc2");
-        let s = self.fc2.forward(s, ctx);
-        ctx.pop();
-        let scale = self.gate.forward(s, ctx); // [N, C] in (0,1)
-                                               // Rescale channels.
-        let mut out = x.clone();
-        let sd = scale.data().to_vec();
-        {
-            let od = out.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let g = sd[ni * c + ci];
-                    let base = (ni * c + ci) * h * w;
-                    for v in &mut od[base..base + h * w] {
-                        *v *= g;
-                    }
-                }
-            }
-        }
+        let fcs = [&mut self.fc1, &mut self.fc2].map(Pass::Train);
+        let acts = [&mut self.act, &mut self.gate].map(Pass::Train);
+        let (out, scale) = Self::run(fcs, acts, x.clone(), ctx);
         self.cache = Some(SeCache { x, scale });
-        ctx.push("scale");
-        let out = ctx.tap_activation(out);
-        ctx.pop();
         out
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, c, h, w) = dims4(&x);
-        let pooled = global_avg_pool(&x); // [N, C]
-        ctx.push("fc1");
-        let s = self.fc1.forward_ref(pooled, ctx);
-        ctx.pop();
-        let s = self.act.forward_ref(s, ctx);
-        ctx.push("fc2");
-        let s = self.fc2.forward_ref(s, ctx);
-        ctx.pop();
-        let scale = self.gate.forward_ref(s, ctx); // [N, C] in (0,1)
-        let mut out = x;
-        let sd = scale.data().to_vec();
-        {
-            let od = out.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let g = sd[ni * c + ci];
-                    let base = (ni * c + ci) * h * w;
-                    for v in &mut od[base..base + h * w] {
-                        *v *= g;
-                    }
-                }
-            }
-        }
-        ctx.push("scale");
-        let out = ctx.tap_activation(out);
-        ctx.pop();
-        out
+        let fcs = [&self.fc1, &self.fc2].map(Pass::Infer);
+        let acts = [&self.act, &self.gate].map(Pass::Infer);
+        Self::run(fcs, acts, x, ctx).0
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {

@@ -1,13 +1,24 @@
 //! Core layers: linear, convolutions, batch norm, activations, pooling and
 //! the [`Sequential`] container.
 
-use crate::layer::{join_path, Ctx, Layer};
+use crate::layer::{join_path, Ctx, Layer, Pass, PlanWeight};
 use crate::param::{Param, ParamVisitor, RefParamVisitor};
 use mersit_tensor::{
-    add_channel_bias, col2im, conv2d, conv2d_packed, dims4, dwconv2d, dwconv2d_backward,
-    global_avg_pool, global_avg_pool_backward, im2col, maxpool2d, maxpool2d_backward, nchw_to_rows,
-    rows_to_nchw, ConvSpec, PackedRhs, Rng, Tensor,
+    add_channel_bias, col2im, conv2d, dims4, dwconv2d, dwconv2d_backward, global_avg_pool,
+    global_avg_pool_backward, maxpool2d, maxpool2d_backward, nchw_to_rows, ConvSpec, Rng, Tensor,
 };
+
+/// `x2·wᵀ` for a rank-2 GEMM weight `w`: through the plan's override
+/// when one applies ([`PlanWeight::gemm_t`]), else through `w` itself.
+fn gemm_t(x2: &Tensor, w: &Tensor, ov: Option<&PlanWeight>) -> Tensor {
+    match ov {
+        Some(pw) => {
+            debug_assert_eq!(pw.value.shape(), w.shape(), "override shape mismatch");
+            pw.gemm_t(x2)
+        }
+        None => x2.matmul(&w.transpose()),
+    }
+}
 
 /// Fully connected layer `y = x·Wᵀ + b`, applied over the last dimension.
 #[derive(Debug)]
@@ -36,73 +47,42 @@ impl Linear {
         }
     }
 
-    fn flatten_input(&self, x: &Tensor) -> Tensor {
+    /// Both forwards' body: flattens `x` to `[rows, in]`, runs `gemm`
+    /// (`[rows, in] → [rows, out]`, bias not included), adds the bias to
+    /// every row and restores the leading dimensions. Also returns the
+    /// flattened input, which the training forward caches.
+    fn affine(&self, x: Tensor, gemm: impl FnOnce(&Tensor) -> Tensor) -> (Tensor, Tensor) {
+        let mut shape = x.shape().to_vec();
         assert_eq!(
-            x.shape().last().copied(),
+            shape.last().copied(),
             Some(self.in_dim),
-            "linear layer expects a trailing dimension of {}, got {:?}",
-            self.in_dim,
-            x.shape()
+            "linear layer expects a trailing dimension of {}, got {shape:?}",
+            self.in_dim
         );
         let rows = x.len() / self.in_dim;
-        x.clone().reshape(&[rows, self.in_dim])
-    }
-
-    /// `x2·wᵀ + b` over pre-flattened `[rows, in]` input. With a packed
-    /// panel form of `wᵀ` (from a plan's [`crate::layer::PlanWeight`])
-    /// the transpose + per-call pack are skipped; results are
-    /// bit-identical either way.
-    fn apply(&self, x2: &Tensor, w: &Tensor, packed: Option<&PackedRhs>) -> Tensor {
-        let mut y = match packed {
-            Some(p) => x2.matmul_packed(p),
-            None => x2.matmul(&w.transpose()),
-        };
-        self.add_bias_rows(&mut y);
-        y
-    }
-
-    /// Broadcasts the bias over the rows of a `[rows, out]` product —
-    /// shared by the float GEMM and bit-true paths so the bias addition
-    /// is identical regardless of how the product was computed.
-    fn add_bias_rows(&self, y: &mut Tensor) {
-        let bd = self.b.value.data();
-        for r in 0..y.shape()[0] {
-            let row = &mut y.data_mut()[r * self.out_dim..(r + 1) * self.out_dim];
-            for (v, &b) in row.iter_mut().zip(bd) {
+        let x2 = x.reshape(&[rows, self.in_dim]);
+        let mut y = gemm(&x2);
+        for row in y.data_mut().chunks_exact_mut(self.out_dim) {
+            for (v, &b) in row.iter_mut().zip(self.b.value.data()) {
                 *v += b;
             }
         }
+        *shape.last_mut().expect("rank >= 1") = self.out_dim;
+        (y.reshape(&shape), x2)
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
-        let shape = x.shape().to_vec();
-        let x2 = self.flatten_input(&x);
-        let y = self.apply(&x2, &self.w.value, None);
+        self.cache_shape = x.shape().to_vec();
+        let (y, x2) = self.affine(x, |x2| gemm_t(x2, &self.w.value, None));
         self.cache_x = Some(x2);
-        self.cache_shape = shape.clone();
-        let mut out_shape = shape;
-        *out_shape.last_mut().expect("rank >= 1") = self.out_dim;
-        y.reshape(&out_shape)
+        y
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
         let ov = ctx.next_override();
-        let w = ov.map_or(&self.w.value, |pw| &pw.value);
-        debug_assert_eq!(w.shape(), self.w.value.shape(), "override shape mismatch");
-        let shape = x.shape().to_vec();
-        let x2 = self.flatten_input(&x);
-        let y = if let Some(bt) = ov.and_then(|pw| pw.bit_true.as_deref()) {
-            let mut y = bt.gemm(&x2);
-            self.add_bias_rows(&mut y);
-            y
-        } else {
-            self.apply(&x2, w, ov.and_then(|pw| pw.packed_t.as_ref()))
-        };
-        let mut out_shape = shape;
-        *out_shape.last_mut().expect("rank >= 1") = self.out_dim;
-        y.reshape(&out_shape)
+        self.affine(x, |x2| gemm_t(x2, &self.w.value, ov)).0
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -193,35 +173,19 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
-        let col = im2col(&x, &self.spec);
-        let (n, _, h, w) = dims4(&x);
-        let (oh, ow) = self.spec.out_hw(h, w);
-        let rows = col.matmul(&self.w.value.transpose());
-        let mut out = rows_to_nchw(&rows, n, self.out_ch, oh, ow);
-        add_channel_bias(&mut out, &self.b.value);
+        let (out, col) = conv2d(&x, &self.spec, &self.b.value, |col| {
+            gemm_t(col, &self.w.value, None)
+        });
         self.cache = Some((col, x.shape().to_vec()));
         out
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
         let ov = ctx.next_override();
-        let w = ov.map_or(&self.w.value, |pw| &pw.value);
-        debug_assert_eq!(w.shape(), self.w.value.shape(), "override shape mismatch");
-        if let Some(bt) = ov.and_then(|pw| pw.bit_true.as_deref()) {
-            // Explicit im2col → engine GEMM → NCHW: same decomposition as
-            // the float path, with the product computed on raw codes.
-            let col = im2col(&x, &self.spec);
-            let (n, _, h, w_in) = dims4(&x);
-            let (oh, ow) = self.spec.out_hw(h, w_in);
-            let rows = bt.gemm(&col);
-            let mut out = rows_to_nchw(&rows, n, self.out_ch, oh, ow);
-            add_channel_bias(&mut out, &self.b.value);
-            return out;
-        }
-        if let Some(p) = ov.and_then(|pw| pw.packed_t.as_ref()) {
-            return conv2d_packed(&x, p, Some(&self.b.value), &self.spec);
-        }
-        conv2d(&x, w, Some(&self.b.value), &self.spec)
+        conv2d(&x, &self.spec, &self.b.value, |col| {
+            gemm_t(col, &self.w.value, ov)
+        })
+        .0
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -795,6 +759,30 @@ impl Sequential {
     pub fn children(&self) -> &[(String, Box<dyn Layer>)] {
         &self.children
     }
+
+    /// Both forwards' body: runs the `(name, kind, child)`s in order,
+    /// each under its path component and `nn.fwd.<path>` span, and taps
+    /// the output of every child that is not itself a container.
+    fn run<'a>(
+        children: impl Iterator<Item = (&'a str, &'static str, Pass<'a, dyn Layer>)>,
+        x: Tensor,
+        ctx: &mut Ctx<'_>,
+    ) -> Tensor {
+        let mut t = x;
+        for (name, kind, child) in children {
+            ctx.push(name);
+            // Per-layer forward timing (`nn.fwd.<path>`); the name closure
+            // only runs — and allocates — when `MERSIT_OBS` is on.
+            let span = mersit_obs::span_dyn(|| format!("nn.fwd.{}", ctx.path()));
+            t = child.run(t, ctx);
+            drop(span);
+            if !is_container(kind) {
+                t = ctx.tap_activation(t);
+            }
+            ctx.pop();
+        }
+        t
+    }
 }
 
 /// Whether a layer manages its own activation taps (containers do).
@@ -873,35 +861,21 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let mut t = x;
-        for (name, child) in &mut self.children {
-            ctx.push(name);
-            // Per-layer forward timing (`nn.fwd.<path>`); the name closure
-            // only runs — and allocates — when `MERSIT_OBS` is on.
-            let span = mersit_obs::span_dyn(|| format!("nn.fwd.{}", ctx.path()));
-            t = child.forward(t, ctx);
-            drop(span);
-            if !is_container(child.kind()) {
-                t = ctx.tap_activation(t);
-            }
-            ctx.pop();
-        }
-        t
+        let children = self.children.iter_mut();
+        Self::run(
+            children.map(|(name, c)| (&**name, c.kind(), Pass::Train(&mut **c))),
+            x,
+            ctx,
+        )
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let mut t = x;
-        for (name, child) in &self.children {
-            ctx.push(name);
-            let span = mersit_obs::span_dyn(|| format!("nn.fwd.{}", ctx.path()));
-            t = child.forward_ref(t, ctx);
-            drop(span);
-            if !is_container(child.kind()) {
-                t = ctx.tap_activation(t);
-            }
-            ctx.pop();
-        }
-        t
+        let children = self.children.iter();
+        Self::run(
+            children.map(|(name, c)| (&**name, c.kind(), Pass::Infer(&**c))),
+            x,
+            ctx,
+        )
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {

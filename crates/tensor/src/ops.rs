@@ -159,51 +159,32 @@ pub fn nchw_to_rows(x: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[n * h * w, c])
 }
 
-/// Full convolution forward: `x` NCHW, `w` `[OC, C·KH·KW]`, optional bias
-/// `[OC]`. Returns NCHW output.
+/// Convolution forward, the one im2col → GEMM → NCHW → bias path: `x`
+/// NCHW, `bias` `[OC]`.
+///
+/// `gemm` maps the `[N·OH·OW, C·KH·KW]` patch rows to their
+/// `[N·OH·OW, OC]` product with the transposed `[OC, C·KH·KW]` weight,
+/// bias not included; the caller picks the float, packed or bit-true
+/// kernel. Returns the NCHW output and the patch rows, which a training
+/// forward keeps for the weight gradient.
 ///
 /// # Panics
 ///
 /// Panics on inconsistent shapes.
 #[must_use]
-pub fn conv2d(x: &Tensor, w: &Tensor, bias: Option<&Tensor>, spec: &ConvSpec) -> Tensor {
-    let (n, _c, h, ww) = dims4(x);
-    let (oh, ow) = spec.out_hw(h, ww);
-    let oc = w.shape()[0];
-    let col = im2col(x, spec);
-    let rows = col.matmul(&w.transpose());
-    let mut out = rows_to_nchw(&rows, n, oc, oh, ow);
-    if let Some(b) = bias {
-        add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// [`conv2d`] against a pre-packed weight: `w_t` is the `[C·KH·KW, OC]`
-/// rhs (i.e. `PackedRhs::pack_t` of the usual `[OC, C·KH·KW]` weight),
-/// packed once and reused across samples. Bit-identical to [`conv2d`]
-/// on the unpacked weight.
-///
-/// # Panics
-///
-/// Panics on inconsistent shapes.
-#[must_use]
-pub fn conv2d_packed(
+pub fn conv2d(
     x: &Tensor,
-    w_t: &crate::gemm::PackedRhs,
-    bias: Option<&Tensor>,
     spec: &ConvSpec,
-) -> Tensor {
-    let (n, _c, h, ww) = dims4(x);
-    let (oh, ow) = spec.out_hw(h, ww);
-    let oc = w_t.n();
+    bias: &Tensor,
+    gemm: impl FnOnce(&Tensor) -> Tensor,
+) -> (Tensor, Tensor) {
+    let (n, _c, h, w) = dims4(x);
+    let (oh, ow) = spec.out_hw(h, w);
     let col = im2col(x, spec);
-    let rows = col.matmul_packed(w_t);
-    let mut out = rows_to_nchw(&rows, n, oc, oh, ow);
-    if let Some(b) = bias {
-        add_channel_bias(&mut out, b);
-    }
-    out
+    let rows = gemm(&col);
+    let mut out = rows_to_nchw(&rows, n, bias.len(), oh, ow);
+    add_channel_bias(&mut out, bias);
+    (out, col)
 }
 
 /// Adds a per-channel bias to an NCHW tensor in place.
@@ -214,7 +195,7 @@ pub fn conv2d_packed(
 pub fn add_channel_bias(x: &mut Tensor, bias: &Tensor) {
     let (n, c, h, w) = dims4(x);
     assert_eq!(bias.len(), c, "bias length mismatch");
-    let bd = bias.data().to_vec();
+    let bd = bias.data();
     let xd = x.data_mut();
     for ni in 0..n {
         for ci in 0..c {
@@ -524,7 +505,8 @@ mod tests {
             } else {
                 w.clone()
             };
-            let got = conv2d(&x, &w1, None, &spec);
+            let zero = Tensor::zeros(&[4]);
+            let got = conv2d(&x, &spec, &zero, |col| col.matmul(&w1.transpose())).0;
             let want = conv_naive(&x, &w1, &spec);
             assert_eq!(got.shape(), want.shape());
             for (a, b) in got.data().iter().zip(want.data().iter()) {
@@ -538,7 +520,8 @@ mod tests {
         let x = Tensor::full(&[1, 1, 2, 2], 0.0);
         let w = Tensor::full(&[2, 1], 0.0);
         let b = Tensor::from_vec(vec![1.5, -2.0], &[2]);
-        let y = conv2d(&x, &w, Some(&b), &ConvSpec::new(1, 1, 0));
+        let spec = ConvSpec::new(1, 1, 0);
+        let (y, _) = conv2d(&x, &spec, &b, |col| col.matmul(&w.transpose()));
         assert_eq!(y.at(&[0, 0, 1, 1]), 1.5);
         assert_eq!(y.at(&[0, 1, 0, 0]), -2.0);
     }
