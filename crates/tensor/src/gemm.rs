@@ -59,22 +59,31 @@ pub const MC: usize = 64;
 /// keeps the direct naive kernel.
 pub(crate) const PACK_MIN_ROWS: usize = 2 * MR;
 
-/// The rhs of a GEMM, repacked into [`NR`]-wide column panels:
-/// `data[p·k·NR + kk·NR + j]` holds `B[kk][p·NR + j]`, with the tail
-/// panel zero-padded. The micro-kernel then streams each panel
-/// contiguously instead of striding `n`-wide rows.
+/// A GEMM rhs repacked into [`NR`]-wide column panels, the one layout
+/// both GEMMs stream: `data[p·k·NR + kk·NR + j]` holds `B[kk][p·NR + j]`,
+/// with the tail panel zero-padded. The micro-kernels then read each
+/// panel contiguously instead of striding `n`-wide rows.
+///
+/// Generic over the element: [`PackedRhs`] (`f32`) feeds [`gemm_rows`],
+/// and [`crate::qgemm::PackedCodeRhs`] wraps the `i64` panels of
+/// fixed-point weight codes. Packing is a pure copy, so it cannot change
+/// a product bit.
 #[derive(Clone)]
-pub struct PackedRhs {
-    data: Vec<f32>,
+pub struct Panels<T> {
+    data: Vec<T>,
     k: usize,
     n: usize,
 }
 
-impl std::fmt::Debug for PackedRhs {
+/// The f32 rhs of [`gemm_rows`]: a `[k, n]` matrix in [`Panels`].
+pub type PackedRhs = Panels<f32>;
+
+impl<T> std::fmt::Debug for Panels<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "PackedRhs[{}x{}, {} panels]",
+            "Panels<{}>[{}x{}, {} panels]",
+            std::any::type_name::<T>(),
             self.k,
             self.n,
             self.panels()
@@ -82,17 +91,17 @@ impl std::fmt::Debug for PackedRhs {
     }
 }
 
-impl PackedRhs {
+impl<T: Copy + Default> Panels<T> {
     /// Packs a row-major `[k, n]` matrix.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
     #[must_use]
-    pub fn pack(b: &[f32], k: usize, n: usize) -> Self {
+    pub fn pack(b: &[T], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "rhs buffer does not match [{k}, {n}]");
         let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
+        let mut data = vec![T::default(); panels * k * NR];
         for (p, panel) in data.chunks_exact_mut((k * NR).max(1)).enumerate() {
             let j0 = p * NR;
             let nr = NR.min(n - j0);
@@ -113,10 +122,10 @@ impl PackedRhs {
     ///
     /// Panics if `bt.len() != n * k`.
     #[must_use]
-    pub fn pack_t(bt: &[f32], n: usize, k: usize) -> Self {
+    pub fn pack_t(bt: &[T], n: usize, k: usize) -> Self {
         assert_eq!(bt.len(), n * k, "rhs buffer does not match [{n}, {k}]");
         let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
+        let mut data = vec![T::default(); panels * k * NR];
         for (p, panel) in data.chunks_exact_mut((k * NR).max(1)).enumerate() {
             let j0 = p * NR;
             let nr = NR.min(n - j0);
@@ -128,7 +137,9 @@ impl PackedRhs {
         }
         Self { data, k, n }
     }
+}
 
+impl<T> Panels<T> {
     /// Inner (k) dimension of the packed matrix.
     #[must_use]
     pub fn k(&self) -> usize {
@@ -145,8 +156,8 @@ impl PackedRhs {
         self.n.div_ceil(NR)
     }
 
-    /// Raw panel storage, for the vector kernels in [`crate::simd`].
-    pub(crate) fn data(&self) -> &[f32] {
+    /// Raw panel storage, for the kernels in this crate.
+    pub(crate) fn data(&self) -> &[T] {
         &self.data
     }
 }
@@ -275,6 +286,75 @@ pub(crate) fn micro_edge<const M: usize>(
     }
 }
 
+/// The one f32 blocking loop: k blocks of [`KC`], row blocks of [`MC`],
+/// then every panel, each row block cut into full-panel tiles of height
+/// `$mr` run by `$micro` and tail-panel tiles of height [`MR`] run by
+/// [`micro_edge`]. The scalar driver ([`gemm_rows_with_level`]) and the
+/// x86 drivers in [`crate::simd`] expand it with their own tile, so the
+/// accumulation order per output element is the scalar one on every tier.
+/// A tail panel is at most one per matrix, so sharing the scalar edge
+/// tile costs no throughput.
+///
+/// `$micro::<M>` takes `(a, k, n, panel, out, i0, j0, kb, kend, first)`
+/// like [`micro_full`] and must handle every `M` up to `$mr` (at most 8).
+macro_rules! gemm_driver {
+    ($a:ident, $k:ident, $packed:ident, $out:ident, $mr:expr, $micro:ident) => {{
+        use $crate::gemm::{micro_edge, KC, MC, MR, NR};
+        let n = $packed.n();
+        let data = $packed.data();
+        let rows = $out.len() / n;
+        for kb in (0..$k).step_by(KC) {
+            let kend = (kb + KC).min($k);
+            let first = kb == 0;
+            for ib in (0..rows).step_by(MC) {
+                let iend = (ib + MC).min(rows);
+                for p in 0..$packed.panels() {
+                    let j0 = p * NR;
+                    let nr = NR.min(n - j0);
+                    let panel = &data[p * $k * NR..(p + 1) * $k * NR];
+                    let mut i = ib;
+                    if nr == NR {
+                        while i < iend {
+                            let mr = $mr.min(iend - i);
+                            match mr {
+                                8 => $micro::<8>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                7 => $micro::<7>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                6 => $micro::<6>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                5 => $micro::<5>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                4 => $micro::<4>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                3 => $micro::<3>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                2 => $micro::<2>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                                _ => $micro::<1>($a, $k, n, panel, $out, i, j0, kb, kend, first),
+                            }
+                            i += mr;
+                        }
+                    } else {
+                        while i < iend {
+                            let mr = MR.min(iend - i);
+                            match mr {
+                                4 => micro_edge::<4>(
+                                    $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
+                                ),
+                                3 => micro_edge::<3>(
+                                    $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
+                                ),
+                                2 => micro_edge::<2>(
+                                    $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
+                                ),
+                                _ => micro_edge::<1>(
+                                    $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
+                                ),
+                            }
+                            i += mr;
+                        }
+                    }
+                }
+            }
+        }
+    }};
+}
+pub(crate) use gemm_driver;
+
 /// Cache-blocked product of `rows = out.len() / packed.n()` lhs rows
 /// (`a`, row-major `rows`×`k`) against a packed rhs, accumulating into
 /// `out` (zeroed by the caller). Bit-identical to
@@ -306,43 +386,11 @@ pub fn gemm_rows_with_level(
         return;
     }
     debug_assert_eq!(packed.k, k, "packed rhs k mismatch");
-    let rows = out.len() / n;
-    debug_assert_eq!(a.len(), rows * k, "lhs rows mismatch");
+    debug_assert_eq!(a.len(), out.len() / n * k, "lhs rows mismatch");
     if crate::simd::gemm_rows_simd(level, a, k, packed, out) {
         return;
     }
-    for kb in (0..k).step_by(KC) {
-        let kend = (kb + KC).min(k);
-        let first = kb == 0;
-        for ib in (0..rows).step_by(MC) {
-            let iend = (ib + MC).min(rows);
-            for p in 0..packed.panels() {
-                let j0 = p * NR;
-                let nr = NR.min(n - j0);
-                let panel = &packed.data[p * k * NR..(p + 1) * k * NR];
-                let mut i = ib;
-                while i < iend {
-                    let mr = MR.min(iend - i);
-                    if nr == NR {
-                        match mr {
-                            4 => micro_full::<4>(a, k, n, panel, out, i, j0, kb, kend, first),
-                            3 => micro_full::<3>(a, k, n, panel, out, i, j0, kb, kend, first),
-                            2 => micro_full::<2>(a, k, n, panel, out, i, j0, kb, kend, first),
-                            _ => micro_full::<1>(a, k, n, panel, out, i, j0, kb, kend, first),
-                        }
-                    } else {
-                        match mr {
-                            4 => micro_edge::<4>(a, k, n, panel, out, i, j0, nr, kb, kend, first),
-                            3 => micro_edge::<3>(a, k, n, panel, out, i, j0, nr, kb, kend, first),
-                            2 => micro_edge::<2>(a, k, n, panel, out, i, j0, nr, kb, kend, first),
-                            _ => micro_edge::<1>(a, k, n, panel, out, i, j0, nr, kb, kend, first),
-                        }
-                    }
-                    i += mr;
-                }
-            }
-        }
-    }
+    gemm_driver!(a, k, packed, out, MR, micro_full);
 }
 
 /// Row-parallel wrapper over [`gemm_rows`]: splits the output rows into

@@ -7,41 +7,27 @@
 //! float kernels in [`crate::gemm`], **integer addition is associative**,
 //! so any tiling, packing, or thread split produces bit-identical sums by
 //! construction — the kernels here are free to reorder. The panel layout
-//! mirrors [`crate::gemm::PackedRhs`] (same [`NR`]-wide column panels,
-//! same `pack_t` entry point from `[n, k]` weight-code matrices) so plans
-//! pack code matrices once and reuse them across samples.
+//! is shared with the float kernels: [`PackedCodeRhs`] wraps
+//! [`Panels`]`<i64>`, so both GEMMs pack through one `pack` / `pack_t`,
+//! and plans pack code matrices once and reuse them across samples.
 //!
 //! Pinned by `tests/qgemm_props.rs`: packed/blocked/threaded results are
 //! bit-identical to the serial [`qgemm_naive_rows`] reference across
 //! random shapes, tile boundaries, and thread counts.
 
-use crate::gemm::{KC, NR};
+use crate::gemm::{Panels, KC, NR};
 use crate::par;
 
-/// An integer rhs repacked into [`NR`]-wide column panels with the exact
-/// layout of [`crate::gemm::PackedRhs`]: `data[p·k·NR + kk·NR + j]` holds
-/// `B[kk][p·NR + j]`, tail panel zero-padded. Packing also records the
-/// maximum operand magnitude so [`qgemm_rows`] can prove, per call, that
-/// the SIMD tile's 64-bit partial-product accumulators cannot overflow.
-#[derive(Clone)]
+/// An integer rhs in the shared [`Panels`] layout, plus the maximum
+/// operand magnitude recorded at pack time. The magnitude lets
+/// [`qgemm_rows`] prove, per call and without rescanning the weights,
+/// that the SIMD tile's 64-bit partial-product accumulators cannot
+/// overflow.
+#[derive(Clone, Debug)]
 pub struct PackedCodeRhs {
-    data: Vec<i64>,
-    k: usize,
-    n: usize,
-    /// `max |B[kk][j]|` over the packed matrix, computed at pack time.
-    max_abs: u64,
-}
-
-impl std::fmt::Debug for PackedCodeRhs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "PackedCodeRhs[{}x{}, {} panels]",
-            self.k,
-            self.n,
-            self.panels()
-        )
-    }
+    pub(crate) panels: Panels<i64>,
+    /// `max |B[kk][j]|` over the packed matrix.
+    pub(crate) max_abs: u64,
 }
 
 impl PackedCodeRhs {
@@ -52,80 +38,36 @@ impl PackedCodeRhs {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn pack(b: &[i64], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "rhs buffer does not match [{k}, {n}]");
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0i64; panels * k * NR];
-        for (p, panel) in data.chunks_exact_mut((k * NR).max(1)).enumerate() {
-            let j0 = p * NR;
-            let nr = NR.min(n - j0);
-            for kk in 0..k {
-                panel[kk * NR..kk * NR + nr].copy_from_slice(&b[kk * n + j0..kk * n + j0 + nr]);
-            }
-        }
-        let max_abs = b.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
-        Self {
-            data,
-            k,
-            n,
-            max_abs,
-        }
+        Self::with_max_abs(Panels::pack(b, k, n), b)
     }
 
     /// Packs the transpose of a row-major `[n, k]` matrix without
-    /// materializing it — the weight-code entry point, mirroring
-    /// [`crate::gemm::PackedRhs::pack_t`].
+    /// materializing it — the weight-code entry point, as
+    /// [`Panels::pack_t`] is for float weights.
     ///
     /// # Panics
     ///
     /// Panics if `bt.len() != n * k`.
     #[must_use]
     pub fn pack_t(bt: &[i64], n: usize, k: usize) -> Self {
-        assert_eq!(bt.len(), n * k, "rhs buffer does not match [{n}, {k}]");
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0i64; panels * k * NR];
-        for (p, panel) in data.chunks_exact_mut((k * NR).max(1)).enumerate() {
-            let j0 = p * NR;
-            let nr = NR.min(n - j0);
-            for (dj, col) in bt[j0 * k..(j0 + nr) * k].chunks_exact(k.max(1)).enumerate() {
-                for (kk, &v) in col.iter().enumerate() {
-                    panel[kk * NR + dj] = v;
-                }
-            }
-        }
-        let max_abs = bt.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
-        Self {
-            data,
-            k,
-            n,
-            max_abs,
-        }
+        Self::with_max_abs(Panels::pack_t(bt, n, k), bt)
+    }
+
+    fn with_max_abs(panels: Panels<i64>, values: &[i64]) -> Self {
+        let max_abs = values.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
+        Self { panels, max_abs }
     }
 
     /// Inner (k) dimension of the packed matrix.
     #[must_use]
     pub fn k(&self) -> usize {
-        self.k
+        self.panels.k()
     }
 
     /// Column (n) dimension of the packed matrix.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
-    }
-
-    pub(crate) fn panels(&self) -> usize {
-        self.n.div_ceil(NR)
-    }
-
-    /// Raw panel storage, for the vector kernel in [`crate::simd`].
-    pub(crate) fn data(&self) -> &[i64] {
-        &self.data
-    }
-
-    /// Maximum operand magnitude, recorded at pack time — the rhs half
-    /// of the SIMD overflow gate in [`crate::simd`].
-    pub(crate) fn max_abs(&self) -> u64 {
-        self.max_abs
+        self.panels.n()
     }
 }
 
@@ -179,16 +121,17 @@ pub fn qgemm_rows_with_level(
     packed: &PackedCodeRhs,
     out: &mut [i128],
 ) {
-    let n = packed.n;
+    let n = packed.n();
     if n == 0 || k == 0 {
         return;
     }
-    debug_assert_eq!(packed.k, k, "packed rhs k mismatch");
+    debug_assert_eq!(packed.k(), k, "packed rhs k mismatch");
     let rows = out.len() / n;
     debug_assert_eq!(a.len(), rows * k, "lhs rows mismatch");
     if crate::simd::qgemm_rows_simd(level, a, k, packed, out) {
         return;
     }
+    let packed = &packed.panels;
     for kb in (0..k).step_by(KC) {
         let kend = (kb + KC).min(k);
         for i in 0..rows {
@@ -196,7 +139,7 @@ pub fn qgemm_rows_with_level(
             for p in 0..packed.panels() {
                 let j0 = p * NR;
                 let nr = NR.min(n - j0);
-                let panel = &packed.data[p * k * NR..(p + 1) * k * NR];
+                let panel = &packed.data()[p * k * NR..(p + 1) * k * NR];
                 let mut acc = [0i128; NR];
                 for (kk, &av) in arow.iter().enumerate().take(kend).skip(kb) {
                     if av == 0 {
@@ -292,7 +235,7 @@ mod tests {
         }
         let from_t = PackedCodeRhs::pack_t(&bt, n, k);
         let direct = PackedCodeRhs::pack(&b, k, n);
-        assert_eq!(from_t.data, direct.data);
+        assert_eq!(from_t.panels.data(), direct.panels.data());
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub(crate) fn qgemm_rows_simd(
         // 64-bit lane, so both operands must fit in i32; the per-k-block
         // lane accumulator must hold `block` such products in i64.
         const LANE_LIMIT: u64 = i32::MAX as u64;
-        let bmax = packed.max_abs();
+        let bmax = packed.max_abs;
         let amax = a.iter().map(|&v| v.unsigned_abs()).max().unwrap_or(0);
         let block = KC.min(k).max(1) as u128;
         if amax <= LANE_LIMIT
@@ -120,7 +120,7 @@ pub(crate) fn qgemm_rows_simd(
             && block * u128::from(amax) * u128::from(bmax) <= i64::MAX as u128
         {
             // SAFETY: tier implies AVX2; bounds checked above.
-            unsafe { x86::qgemm_rows_avx2(a, k, packed, out) };
+            unsafe { x86::qgemm_rows_avx2(a, k, &packed.panels, out) };
             return true;
         }
     }
@@ -129,8 +129,8 @@ pub(crate) fn qgemm_rows_simd(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{PackedCodeRhs, PackedRhs, KC};
-    use crate::gemm::{micro_edge, MC, MR, NR};
+    use super::{PackedRhs, KC};
+    use crate::gemm::{gemm_driver, Panels, NR};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256,
         _mm256_mul_epi32, _mm256_mul_ps, _mm256_set1_epi64x, _mm256_set1_ps, _mm256_setzero_ps,
@@ -224,89 +224,15 @@ mod x86 {
         }
     }
 
-    /// Shared kb/ib/panel blocking (the scalar driver's loop structure)
-    /// with per-ISA full-panel tiles; tail panels reuse the scalar
-    /// [`micro_edge`] (at most one per matrix — throughput-irrelevant,
-    /// and bit-identical by the same argument as the scalar driver).
-    macro_rules! gemm_driver {
-        ($a:ident, $k:ident, $packed:ident, $out:ident, $mr_v:expr, $micro:ident) => {{
-            let n = $packed.n();
-            let data = $packed.data();
-            let rows = $out.len() / n;
-            for kb in (0..$k).step_by(KC) {
-                let kend = (kb + KC).min($k);
-                let first = kb == 0;
-                for ib in (0..rows).step_by(MC) {
-                    let iend = (ib + MC).min(rows);
-                    for p in 0..$packed.panels() {
-                        let j0 = p * NR;
-                        let nr = NR.min(n - j0);
-                        let panel = &data[p * $k * NR..(p + 1) * $k * NR];
-                        let mut i = ib;
-                        if nr == NR {
-                            while i < iend {
-                                let mr = $mr_v.min(iend - i);
-                                match mr {
-                                    8 => {
-                                        $micro::<8>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    7 => {
-                                        $micro::<7>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    6 => {
-                                        $micro::<6>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    5 => {
-                                        $micro::<5>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    4 => {
-                                        $micro::<4>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    3 => {
-                                        $micro::<3>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    2 => {
-                                        $micro::<2>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                    _ => {
-                                        $micro::<1>($a, $k, n, panel, $out, i, j0, kb, kend, first)
-                                    }
-                                }
-                                i += mr;
-                            }
-                        } else {
-                            while i < iend {
-                                let mr = MR.min(iend - i);
-                                match mr {
-                                    4 => micro_edge::<4>(
-                                        $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
-                                    ),
-                                    3 => micro_edge::<3>(
-                                        $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
-                                    ),
-                                    2 => micro_edge::<2>(
-                                        $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
-                                    ),
-                                    _ => micro_edge::<1>(
-                                        $a, $k, n, panel, $out, i, j0, nr, kb, kend, first,
-                                    ),
-                                }
-                                i += mr;
-                            }
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    /// AVX2 driver for [`crate::gemm::gemm_rows`].
+    /// AVX2 driver for [`crate::gemm::gemm_rows`]: the shared blocking
+    /// loop ([`gemm_driver`]) with the AVX2 full-panel tile.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gemm_rows_avx2(a: &[f32], k: usize, packed: &PackedRhs, out: &mut [f32]) {
         gemm_driver!(a, k, packed, out, MR_AVX2, micro_f32_avx2);
     }
 
-    /// AVX-512 driver for [`crate::gemm::gemm_rows`].
+    /// AVX-512 driver for [`crate::gemm::gemm_rows`]: the shared blocking
+    /// loop with the AVX-512 full-panel tile.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn gemm_rows_avx512(
         a: &[f32],
@@ -327,7 +253,7 @@ mod x86 {
     pub(super) unsafe fn qgemm_rows_avx2(
         a: &[i64],
         k: usize,
-        packed: &PackedCodeRhs,
+        packed: &Panels<i64>,
         out: &mut [i128],
     ) {
         let n = packed.n();
