@@ -36,7 +36,7 @@ fn eval_alt(model: &Model, mut alt: AltQuant, inputs: &Tensor, labels: &[usize])
     let mut weights = Vec::new();
     model.net.visit_params_ref("", &mut |_, p| {
         if p.value.shape().len() >= 2 {
-            weights.push(PlanWeight::plain(alt.apply_per_channel(&p.value)));
+            weights.push(PlanWeight::Value(alt.apply_per_channel(&p.value)));
         }
     });
     let n = inputs.shape()[0];

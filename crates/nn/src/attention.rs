@@ -2,7 +2,7 @@
 //! token/position embedding, multi-head self-attention, and the encoder
 //! block. Sequence activations are `[N, T, D]`.
 
-use crate::layer::{join_path, Ctx, Layer, Pass};
+use crate::layer::{join_path, Ctx, Layer, Pass, PlanWeight};
 use crate::layers::{Act, ActKind, Linear, Sequential};
 use crate::param::{Param, ParamVisitor, RefParamVisitor};
 use mersit_tensor::{softmax_rows, Rng, Tensor};
@@ -186,8 +186,10 @@ impl Layer for Embedding {
         // Override order matches `visit_params`: table, then pos.
         let table = ctx
             .next_override()
-            .map_or(&self.table.value, |pw| &pw.value);
-        let pos_tab = ctx.next_override().map_or(&self.pos.value, |pw| &pw.value);
+            .map_or(&self.table.value, PlanWeight::value);
+        let pos_tab = ctx
+            .next_override()
+            .map_or(&self.pos.value, PlanWeight::value);
         debug_assert_eq!(table.shape(), self.table.value.shape());
         debug_assert_eq!(pos_tab.shape(), self.pos.value.shape());
         embed(&x, table, pos_tab).0

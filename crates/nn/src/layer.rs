@@ -26,85 +26,68 @@ pub trait BitTrueGemm: std::fmt::Debug + Send + Sync {
     fn gemm(&self, x2: &Tensor) -> Tensor;
 }
 
-/// One planned weight override: the quantized value tensor plus,
-/// for weights consumed as the rhs of a `x · Wᵀ` GEMM (see
-/// [`crate::param::Param::gemm_rhs`]), the same values pre-packed into
-/// cache-blocked panels so every forward skips the transpose + pack.
-/// The packed panels are **derived** from `value` — bit-identical math,
-/// packed once per plan instead of once per sample.
+/// One planned weight override, held in the one form its layer reads.
 ///
-/// A slot may instead carry a [`BitTrueGemm`] engine, in which case GEMM
-/// consumers route the product through it (exact integer arithmetic on
-/// raw codes) and every other consumer still reads `value`. GEMM
-/// consumers never pick between the forms themselves: `gemm_t` is the
-/// one reader of the panels and the engine.
+/// A weight consumed as the rhs of a `x · Wᵀ` GEMM (see
+/// [`crate::param::Param::gemm_rhs`]) is held as packed panels or as a
+/// bit-true engine, never also as a tensor: GEMM consumers read it only
+/// through `gemm_t`, the one float/packed/bit-true GEMM choice. Every
+/// other weight (depthwise kernels, embedding tables) is held as its
+/// tensor.
 #[derive(Debug, Clone)]
-pub struct PlanWeight {
-    /// The override value (what non-GEMM consumers read).
-    pub value: Tensor,
-    /// `value` packed as the `[in, out]` rhs of `x · Wᵀ`, when the
-    /// parameter is a rank-2 GEMM rhs.
-    packed_t: Option<PackedRhs>,
-    /// Bit-true execution engine replacing the float GEMM, when the plan
-    /// runs in bit-true mode and the parameter is a rank-2 GEMM rhs.
-    bit_true: Option<Arc<dyn BitTrueGemm>>,
+pub enum PlanWeight {
+    /// The override tensor, read as is (any weight; a GEMM consumer
+    /// transposes and multiplies it).
+    Value(Tensor),
+    /// A GEMM weight packed as the `[in, out]` rhs of `x · Wᵀ`: the
+    /// transpose and pack are paid once per plan instead of once per
+    /// sample, with bit-identical products.
+    Packed(PackedRhs),
+    /// A bit-true engine replacing the float GEMM: exact integer
+    /// arithmetic on raw codes. The engine owns the weight in its own
+    /// packed code form.
+    BitTrue(Arc<dyn BitTrueGemm>),
 }
 
 impl PlanWeight {
-    /// An override with no packed form (embeddings, depthwise kernels,
-    /// rank-≠2 weights).
-    #[must_use]
-    pub fn plain(value: Tensor) -> Self {
-        Self {
-            value,
-            packed_t: None,
-            bit_true: None,
-        }
-    }
-
-    /// An override pre-packed as a GEMM rhs. `value` must be the usual
-    /// `[out, in]` weight layout; the panels describe its transpose.
+    /// A GEMM weight packed as the rhs of `x · Wᵀ`. `value` must be the
+    /// usual `[out, in]` weight layout; the panels describe its transpose.
     ///
     /// # Panics
     ///
     /// Panics unless `value` is rank 2.
     #[must_use]
-    pub fn packed_rhs(value: Tensor) -> Self {
+    pub fn packed_rhs(value: &Tensor) -> Self {
         assert_eq!(value.shape().len(), 2, "GEMM rhs weight must be rank 2");
         let (out_dim, in_dim) = (value.shape()[0], value.shape()[1]);
-        let packed = PackedRhs::pack_t(value.data(), out_dim, in_dim);
-        Self {
-            value,
-            packed_t: Some(packed),
-            bit_true: None,
-        }
+        Self::Packed(PackedRhs::pack_t(value.data(), out_dim, in_dim))
     }
 
-    /// An override that routes GEMM consumers through a bit-true engine.
-    /// `value` stays available for non-GEMM reads (and for reference
-    /// comparisons); no float panels are packed — the engine carries its
-    /// own packed code matrices.
-    #[must_use]
-    pub fn with_bit_true(value: Tensor, engine: Arc<dyn BitTrueGemm>) -> Self {
-        Self {
-            value,
-            packed_t: None,
-            bit_true: Some(engine),
+    /// The override tensor of a [`PlanWeight::Value`] slot, for the
+    /// layers that read a weight other than through a GEMM.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a GEMM form: the plan and the model disagree on which
+    /// weight this slot is.
+    pub(crate) fn value(&self) -> &Tensor {
+        match self {
+            Self::Value(t) => t,
+            Self::Packed(_) | Self::BitTrue(_) => {
+                panic!("plan slot holds a GEMM form, not a tensor: plan and model disagree")
+            }
         }
     }
 
     /// `x2·Wᵀ` for rank-2 `[rows, in]` `x2`, bias not included: the one
-    /// float/packed/bit-true GEMM choice. The bit-true engine runs when
-    /// the slot has one, else the packed panels, else `value` is
-    /// transposed and multiplied. Every route is the same decomposition,
-    /// so a layer adds its bias the same way whichever one ran.
+    /// float/packed/bit-true GEMM choice. Every route is the same
+    /// decomposition, so a layer adds its bias the same way whichever one
+    /// ran, and every route asserts its inner dimension.
     pub(crate) fn gemm_t(&self, x2: &Tensor) -> Tensor {
-        if let Some(bt) = &self.bit_true {
-            bt.gemm(x2)
-        } else if let Some(p) = &self.packed_t {
-            x2.matmul_packed(p)
-        } else {
-            x2.matmul(&self.value.transpose())
+        match self {
+            Self::Value(w) => x2.matmul(&w.transpose()),
+            Self::Packed(p) => x2.matmul_packed(p),
+            Self::BitTrue(engine) => engine.gemm(x2),
         }
     }
 }
@@ -465,14 +448,14 @@ mod tests {
 
     #[test]
     fn overrides_consumed_in_order() {
-        let a = PlanWeight::plain(Tensor::full(&[1], 1.0));
-        let b = PlanWeight::packed_rhs(Tensor::full(&[1, 1], 2.0));
+        let a = PlanWeight::Value(Tensor::full(&[1], 1.0));
+        let b = PlanWeight::packed_rhs(&Tensor::full(&[1, 1], 2.0));
         let slots = [a, b];
         let mut c = Ctx::new().with_overrides(&slots);
-        assert_eq!(c.next_override().unwrap().value.data(), &[1.0]);
+        assert_eq!(c.next_override().unwrap().value().data(), &[1.0]);
         let second = c.next_override().unwrap();
-        assert_eq!(second.value.data(), &[2.0]);
-        assert!(second.packed_t.is_some());
+        assert!(matches!(second, PlanWeight::Packed(_)));
+        assert_eq!(second.gemm_t(&Tensor::full(&[1, 1], 3.0)).data(), &[6.0]);
         assert_eq!(c.overrides_consumed(), 2);
         let mut plain = Ctx::new();
         assert!(plain.next_override().is_none());

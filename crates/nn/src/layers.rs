@@ -10,11 +10,18 @@ use mersit_tensor::{
 
 /// `x2·wᵀ` for a rank-2 GEMM weight `w`: through the plan's override
 /// when one applies ([`PlanWeight::gemm_t`]), else through `w` itself.
+/// Every override route asserts its inner dimension, so checking the
+/// product's shape pins the override's `[out, in]` against `w`'s.
 fn gemm_t(x2: &Tensor, w: &Tensor, ov: Option<&PlanWeight>) -> Tensor {
     match ov {
         Some(pw) => {
-            debug_assert_eq!(pw.value.shape(), w.shape(), "override shape mismatch");
-            pw.gemm_t(x2)
+            let y = pw.gemm_t(x2);
+            debug_assert_eq!(
+                y.shape(),
+                [x2.shape()[0], w.shape()[0]],
+                "override shape mismatch"
+            );
+            y
         }
         None => x2.matmul(&w.transpose()),
     }
@@ -257,7 +264,7 @@ impl Layer for DwConv2d {
     }
 
     fn forward_ref(&self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
-        let w = ctx.next_override().map_or(&self.w.value, |pw| &pw.value);
+        let w = ctx.next_override().map_or(&self.w.value, PlanWeight::value);
         debug_assert_eq!(w.shape(), self.w.value.shape(), "override shape mismatch");
         let mut y = dwconv2d(&x, w, &self.spec);
         add_channel_bias(&mut y, &self.b.value);

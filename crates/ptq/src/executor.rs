@@ -1,5 +1,5 @@
 //! Fake-quantized inference through a compiled [`QuantPlan`]: weights
-//! quantized per output channel into plan-owned tensors, activations
+//! quantized per output channel into plan-owned slots, activations
 //! quantized per layer at every tap point using the calibrated maxima as
 //! scaling parameters. Forwards run over a shared `&Model` with the
 //! plan's weights injected as overrides, so many plans can evaluate
@@ -48,9 +48,11 @@ use std::sync::Arc;
 /// order) plus dense per-site activation scales — each weight and site
 /// quantized through the format its path resolves to under the plan's
 /// [`FormatAssignment`] (a uniform assignment reproduces the historical
-/// single-format plan bit for bit). GEMM-rhs weights (Linear / im2col
-/// Conv2d) are additionally pre-packed into cache-blocked panels at build
-/// time — once per assignment, not once per sample. Building the plan
+/// single-format plan bit for bit). Each slot holds the one form its
+/// layer reads ([`PlanWeight`]): GEMM-rhs weights (Linear / im2col
+/// Conv2d) as cache-blocked panels packed at build time (once per
+/// assignment, not once per sample) or as a bit-true engine, any other
+/// weight as its quantized tensor. Building the plan
 /// never mutates the model, and [`QuantPlan::predict`] needs only `&`
 /// access — so plans for different assignments run concurrently over one
 /// model, and batch shards run concurrently inside one plan.
@@ -96,7 +98,7 @@ impl Tap for PlanTap<'_> {
 impl QuantPlan {
     /// Compiles the plan with the default [`Executor::Float`] engine:
     /// per-channel-quantizes every rank-≥2 parameter into plan-owned
-    /// tensors and precomputes the per-site activation scales. The model
+    /// slots and precomputes the per-site activation scales. The model
     /// is only read. Accepts a plain [`FormatRef`] (uniform assignment)
     /// or a full [`FormatAssignment`].
     #[must_use]
@@ -108,14 +110,16 @@ impl QuantPlan {
     /// activation site quantizes through the format its path resolves to
     /// under the assignment (`FormatRef` arguments convert into uniform
     /// assignments, preserving the historical single-format behavior bit
-    /// for bit). With [`Executor::BitTrue`], every GEMM-rhs rank-2 weight
-    /// additionally gets a [`QuantGemm`] engine built from the **original
-    /// FP32** weights under **that layer's** format (same per-channel
-    /// scales as the fake-quantized tensor, so the code matrix corresponds
-    /// element for element — and each layer's codes, row scales and
-    /// `FixTable` follow its own format) — Linear and im2col Conv2d
-    /// forwards then multiply raw codes with exact Kulisch accumulation
-    /// instead of running the float GEMM.
+    /// for bit). Each slot gets the one form its layer reads: a rank-2
+    /// GEMM-rhs weight becomes panels of its quantized values under
+    /// [`Executor::Float`], and under [`Executor::BitTrue`] a [`QuantGemm`]
+    /// engine instead of a quantized copy; any other weight stays its
+    /// quantized tensor. The engine is built from the **original FP32**
+    /// weight under **that layer's** format with the float path's
+    /// per-channel scales, so its codes are the ones the float path rounds
+    /// to (and its row scales and `FixTable` follow that format). Linear
+    /// and im2col Conv2d forwards then multiply raw codes with exact
+    /// Kulisch accumulation instead of running the float GEMM.
     #[must_use]
     pub fn build_with(
         model: &Model,
@@ -130,17 +134,17 @@ impl QuantPlan {
             if p.value.shape().len() >= 2 {
                 mersit_obs::incr("ptq.weights.tensors");
                 let fmt = assign.format_for(path);
-                let q = quantize_per_channel(fmt.as_ref(), &p.value);
-                weights.push(if p.gemm_rhs && q.shape().len() == 2 {
-                    if executor == Executor::BitTrue {
-                        mersit_obs::incr("ptq.bittrue.engines");
-                        let engine = QuantGemm::build(fmt.clone(), &p.value);
-                        PlanWeight::with_bit_true(q, Arc::new(engine))
-                    } else {
-                        PlanWeight::packed_rhs(q)
-                    }
+                let gemm = p.gemm_rhs && p.value.shape().len() == 2;
+                weights.push(if gemm && executor == Executor::BitTrue {
+                    mersit_obs::incr("ptq.bittrue.engines");
+                    PlanWeight::BitTrue(Arc::new(QuantGemm::build(fmt.clone(), &p.value)))
                 } else {
-                    PlanWeight::plain(q)
+                    let q = quantize_per_channel(fmt.as_ref(), &p.value);
+                    if gemm {
+                        PlanWeight::packed_rhs(&q)
+                    } else {
+                        PlanWeight::Value(q)
+                    }
                 });
             }
         });
@@ -192,7 +196,7 @@ impl QuantPlan {
         self.executor
     }
 
-    /// Number of quantized weight tensors the plan owns.
+    /// Number of weight slots the plan owns (one per rank-≥2 parameter).
     #[must_use]
     pub fn num_weight_slots(&self) -> usize {
         self.weights.len()
@@ -286,18 +290,39 @@ mod tests {
 
     #[test]
     fn rank1_params_stay_fp32() {
-        // The plan owns one quantized slot per rank-≥2 parameter and none
-        // for rank-1 ones, which the forward reads from the FP32 model.
+        // The plan owns one slot per rank-≥2 parameter and none for rank-1
+        // ones, which the forward reads from the FP32 model. Each slot
+        // holds the one form its layer reads: a rank-2 GEMM weight as
+        // panels (float) or an engine (bit-true), any other weight (the
+        // depthwise kernels) as its quantized tensor.
         let mut rng = Rng::new(2);
-        let model = vgg_t(12, 10, &mut rng);
-        let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
-        let cal = calibrate(&model, &x, 2);
-        let mut rank2 = 0;
-        model.net.visit_params_ref("", &mut |_, p| {
-            rank2 += usize::from(p.value.shape().len() >= 2);
-        });
-        let plan = QuantPlan::build(&model, parse_format("INT8").unwrap(), &cal);
-        assert_eq!(plan.num_weight_slots(), rank2);
+        for model in [vgg_t(12, 10, &mut rng), mobilenet_v3_t(12, 10, &mut rng)] {
+            let x = Tensor::randn(&[2, 3, 12, 12], 1.0, &mut rng);
+            let cal = calibrate(&model, &x, 2);
+            let (mut rank2, mut gemm) = (0, 0);
+            model.net.visit_params_ref("", &mut |_, p| {
+                rank2 += usize::from(p.value.shape().len() >= 2);
+                gemm += usize::from(p.gemm_rhs && p.value.shape().len() == 2);
+            });
+            for executor in [Executor::Float, Executor::BitTrue] {
+                let fmt = parse_format("INT8").unwrap();
+                let plan = QuantPlan::build_with(&model, fmt, &cal, executor);
+                assert_eq!(plan.num_weight_slots(), rank2);
+                let count =
+                    |form: fn(&PlanWeight) -> bool| plan.weights.iter().filter(|w| form(w)).count();
+                let gemm_slots = match executor {
+                    Executor::Float => count(|w| matches!(w, PlanWeight::Packed(_))),
+                    Executor::BitTrue => count(|w| matches!(w, PlanWeight::BitTrue(_))),
+                };
+                let ctx = format!("{} {executor:?}", model.name);
+                assert_eq!(gemm_slots, gemm, "{ctx}: GEMM slots");
+                assert_eq!(
+                    count(|w| matches!(w, PlanWeight::Value(_))),
+                    rank2 - gemm,
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]
