@@ -3,7 +3,7 @@
 use mersit_nn::Model;
 use mersit_ptq::{Calibration, Executor, FormatAssignment, QuantPlan};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identity of one compiled plan: model name, canonical assignment name
 /// (as reported by [`FormatAssignment::name`] — a plain format name like
@@ -44,14 +44,12 @@ impl PlanCache {
     /// Records `serve.plan.cache.hit` / `serve.plan.cache.miss` counters
     /// and times builds under a `serve.plan.build` span.
     ///
-    /// The build runs under the cache lock: concurrent callers asking for
-    /// the same triple wait and then share one build rather than racing
-    /// duplicate ones (in the server only the batcher thread builds, so
-    /// nothing else ever blocks on it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking build.
+    /// The build runs outside the cache lock, so a build that panics
+    /// leaves the cache usable: the panic reaches the caller (the server
+    /// fails that batch) and a later request builds again. Lookups and
+    /// [`PlanCache::len`] never wait on a build. Two callers that miss on
+    /// the same key at once both build, and the first insert wins; in the
+    /// server only the batcher thread builds, so nothing builds twice.
     #[must_use]
     pub fn get_or_build(
         &self,
@@ -60,31 +58,32 @@ impl PlanCache {
         assign: &FormatAssignment,
         cal: &Calibration,
     ) -> Arc<QuantPlan> {
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        if let Some(plan) = plans.get(key) {
+        if let Some(plan) = self.lock().get(key) {
             mersit_obs::incr("serve.plan.cache.hit");
             return Arc::clone(plan);
         }
         mersit_obs::incr("serve.plan.cache.miss");
-        let _span = mersit_obs::span("serve.plan.build");
-        let plan = Arc::new(QuantPlan::build_with(
-            model,
-            assign.clone(),
-            cal,
-            key.executor,
-        ));
-        plans.insert(key.clone(), Arc::clone(&plan));
-        plan
+        let plan = {
+            let _span = mersit_obs::span("serve.plan.build");
+            Arc::new(QuantPlan::build_with(
+                model,
+                assign.clone(),
+                cal,
+                key.executor,
+            ))
+        };
+        Arc::clone(self.lock().entry(key.clone()).or_insert(plan))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<PlanKey, Arc<QuantPlan>>> {
+        // Nothing panics while the guard is held (builds run outside it).
+        self.plans.lock().expect("plan cache poisoned")
     }
 
     /// Number of compiled plans currently cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking build.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.plans.lock().expect("plan cache poisoned").len()
+        self.lock().len()
     }
 
     /// True when no plan has been built yet.

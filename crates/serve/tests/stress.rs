@@ -2,11 +2,12 @@
 //! graceful shutdown with in-flight requests (everything admitted gets
 //! answered), and the validation / internal-error paths.
 //!
-//! One `#[test]` fn: the internal-error leg swaps the process-global
+//! One `#[test]` fn: the internal-error legs swap the process-global
 //! panic hook, which must not race another test in this binary.
 
 use mersit_nn::layers::{Linear, Sequential};
-use mersit_nn::{InputKind, Model};
+use mersit_nn::param::{ParamVisitor, RefParamVisitor};
+use mersit_nn::{Ctx, InputKind, Layer, Model};
 use mersit_ptq::calibrate;
 use mersit_serve::{Request, ServeConfig, ServeError, Server};
 use mersit_tensor::{Rng, Tensor};
@@ -25,6 +26,34 @@ fn toy_model(rng: &mut Rng) -> (Model, Tensor) {
 
 fn one_sample(rng: &mut Rng) -> Tensor {
     Tensor::randn(&[6], 1.0, rng)
+}
+
+/// An identity layer whose read-only parameter visit panics. Only plan
+/// builds visit parameters, so it breaks exactly the quantized requests.
+struct PanicOnPlanBuild;
+
+impl Layer for PanicOnPlanBuild {
+    fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
+        x
+    }
+
+    fn forward_ref(&self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
+        x
+    }
+
+    fn backward(&mut self, dout: Tensor) -> Tensor {
+        dout
+    }
+
+    fn visit_params(&mut self, _prefix: &str, _f: &mut ParamVisitor<'_>) {}
+
+    fn visit_params_ref(&self, _prefix: &str, _f: &mut RefParamVisitor<'_>) {
+        panic!("plan build panics on purpose");
+    }
+
+    fn kind(&self) -> &'static str {
+        "panic_on_plan_build"
+    }
 }
 
 #[test]
@@ -144,6 +173,40 @@ fn backpressure_validation_and_graceful_shutdown() {
         let stats = server.stats();
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    // --- A plan build that panics fails its batch with Internal and
+    // leaves the plan cache usable: the next quantized request builds
+    // again (and fails again), an FP32 request is still answered, and
+    // stats() still reads the cache.
+    {
+        let (mut model, _) = toy_model(&mut rng);
+        model.net.push(PanicOnPlanBuild);
+        let x = Tensor::randn(&[8, 6], 1.0, &mut rng);
+        let cal = calibrate(&model, &x, 4);
+        let cfg = ServeConfig::default().max_wait_us(0);
+        let server = Server::start(vec![(model, cal)], cfg);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // silence the expected panics
+        let quantized: Vec<_> = (0..2)
+            .map(|_| server.infer(Request::new("toy", one_sample(&mut rng)).format("INT8")))
+            .collect();
+        std::panic::set_hook(prev);
+        for result in quantized {
+            match result {
+                Err(ServeError::Internal(_)) => {}
+                other => panic!("expected Internal, got {other:?}"),
+            }
+        }
+        let ok = server.infer(Request::new("toy", one_sample(&mut rng)));
+        assert!(
+            ok.is_ok(),
+            "FP32 request failed after a build panic: {ok:?}"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.cached_plans, 0);
     }
 
     // --- Shutdown via drop with a burst in flight: every ticket resolves.
