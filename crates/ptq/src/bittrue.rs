@@ -25,18 +25,27 @@
 //!    layer's coalescing invariant), and it mirrors per-vector requant
 //!    granularity in hardware. Weight and row scales alike come from
 //!    [`crate::site_scale`]`(anchor, max)`, or 1.0 for all-zero data: the
-//!    one rule `quantize_per_channel` and the plan's sites use too.
+//!    one rule `quantize_per_channel` and the plan's sites use too. On
+//!    the fixed-point path one pass on the pool goes straight from `f32`
+//!    to fixed point, row by row: `table.fix(encode(x / s_a[row]))`, the
+//!    quotient taken in f64 as before (no reciprocal), with no code
+//!    buffer in between.
 //! 3. The product runs **entirely on integers**: every code maps through
 //!    a per-format fixed-point table (`mersit-core::fixpoint::FixTable`),
 //!    products are exact `i128`s, and each dot product is reduced with a
 //!    single two's-complement wrap at the hardware accumulator width —
 //!    bit-identical to `mersit-hw::GoldenMac` fed the same codes (pinned
-//!    by `tests/bittrue_golden.rs`).
+//!    by `tests/bittrue_golden.rs`). The integer GEMM splits its output
+//!    rows across the pool.
 //! 4. A **single rounding** happens at the output: the wrapped
 //!    accumulator is scaled by `2^lsb_exp · s_a · s_w[channel]` and cast
-//!    to f32. Biases and every non-GEMM layer stay on the float path,
-//!    mirroring hardware accelerators that keep a high-precision
-//!    epilogue.
+//!    to f32, in a pass split by output rows. Biases and every non-GEMM
+//!    layer stay on the float path, mirroring hardware accelerators that
+//!    keep a high-precision epilogue.
+//!
+//! Every row has its own scale and every output its own accumulator, so
+//! splitting steps 2–4 by rows never moves a bit: the output is the same
+//! at every thread count (pinned by `tests/bittrue_threads.rs`).
 //!
 //! Formats whose operands exceed an `i64` fixed point (Posit(8,3)) fall
 //! back to a 256-bit wide accumulator ([`WideAcc`]) over explicit
@@ -44,16 +53,22 @@
 //!
 //! # Observability
 //!
-//! `ptq.bittrue.gemm` spans time every engine GEMM; `ptq.bittrue.macs`
-//! counts accumulated products and `ptq.bittrue.wide_path` counts GEMMs
-//! taking the wide fallback.
+//! * `ptq.bittrue.gemm` spans time every engine GEMM. On the fixed-point
+//!   path three sub-spans, taken on the calling thread, split it:
+//!   - `ptq.bittrue.encode`: the row scales and the encode-to-fixed-point
+//!     pass (step 2);
+//!   - `ptq.bittrue.qgemm`: the integer GEMM (step 3);
+//!   - `ptq.bittrue.epilogue`: the wrap, scale and cast (step 4).
+//! * `ptq.bittrue.macs` counts accumulated products.
+//! * `ptq.bittrue.wide_path` counts GEMMs taking the wide fallback, which
+//!   runs on the calling thread and has no sub-spans.
 
 use crate::quantizer::{channel_max_abs, site_scale};
 use mersit_core::fixpoint::{v_ovf_for, wrap_i128, FixTable};
 use mersit_core::{Format, FormatRef, MacParams, ValueClass};
 use mersit_nn::BitTrueGemm;
 use mersit_tensor::qgemm::{qgemm_rows_par, PackedCodeRhs};
-use mersit_tensor::Tensor;
+use mersit_tensor::{par, Tensor};
 use std::sync::Arc;
 
 /// Which execution engine a [`crate::executor::QuantPlan`] runs.
@@ -426,6 +441,30 @@ impl QuantGemm {
             .collect()
     }
 
+    /// Encodes an activation tensor straight to fixed point, row `i`
+    /// scaled by `s_a[i]`: `table.fix` of the codes [`Self::encode_codes`]
+    /// would give, with the rows split across the pool. Each row reads
+    /// only its own scale, so the split cannot move a bit.
+    fn encode_fix(&self, table: &FixTable, x2: &Tensor, s_a: &[f64]) -> Vec<i64> {
+        let k = x2.shape()[1].max(1);
+        let mut fix = vec![0i64; x2.len()];
+        // One element costs a virtual encode, an f64 division and a
+        // table load: about 20 ns, or 200 elementary ops.
+        par::par_chunks_mut(&mut fix, k, par::min_units(200 * k), |r0, chunk| {
+            let xs = &x2.data()[r0 * k..r0 * k + chunk.len()];
+            for ((frow, xrow), &s) in chunk
+                .chunks_exact_mut(k)
+                .zip(xs.chunks_exact(k))
+                .zip(&s_a[r0..])
+            {
+                for (f, &x) in frow.iter_mut().zip(xrow) {
+                    *f = table.fix(self.fmt.encode(f64::from(x) / s));
+                }
+            }
+        });
+        fix
+    }
+
     /// Encodes an activation tensor to codes, row `i` scaled by `s_a[i]`.
     fn encode_codes(&self, x2: &Tensor, s_a: &[f64]) -> Vec<u16> {
         let k = x2.shape()[1];
@@ -470,26 +509,44 @@ impl BitTrueGemm for QuantGemm {
         assert_eq!(x2.shape().len(), 2, "bit-true GEMM input must be rank 2");
         let (rows, k) = (x2.shape()[0], x2.shape()[1]);
         assert_eq!(k, self.k, "bit-true GEMM inner dimension mismatch");
-        let s_a = self.row_scales(x2);
-        let a_codes = self.encode_codes(x2, &s_a);
         mersit_obs::add("ptq.bittrue.macs", (rows * k * self.n) as u64);
         let mut out = vec![0.0f32; rows * self.n];
         match &self.path {
             EnginePath::Fix { table, packed } => {
-                let a_fix: Vec<i64> = a_codes.iter().map(|&c| table.fix(c)).collect();
+                let (s_a, a_fix) = {
+                    let _encode = mersit_obs::span("ptq.bittrue.encode");
+                    let s_a = self.row_scales(x2);
+                    let a_fix = self.encode_fix(table, x2, &s_a);
+                    (s_a, a_fix)
+                };
                 let mut acc = vec![0i128; rows * self.n];
-                qgemm_rows_par(&a_fix, k, packed, &mut acc);
-                let lsb = 2f64.powi(self.lsb_exp);
-                for i in 0..rows {
-                    for j in 0..self.n {
-                        let wrapped = wrap_i128(acc[i * self.n + j], self.acc_width);
-                        out[i * self.n + j] =
-                            (wrapped as f64 * lsb * s_a[i] * self.col_scales[j]) as f32;
-                    }
+                {
+                    let _qgemm = mersit_obs::span("ptq.bittrue.qgemm");
+                    qgemm_rows_par(&a_fix, k, packed, &mut acc);
                 }
+                let _epilogue = mersit_obs::span("ptq.bittrue.epilogue");
+                let lsb = 2f64.powi(self.lsb_exp);
+                let n = self.n.max(1);
+                // One output costs a wrap, an i128 → f64 conversion (a
+                // library call) and three f64 multiplies: about 10 ns, or
+                // 100 elementary ops.
+                par::par_chunks_mut(&mut out, n, par::min_units(100 * n), |r0, chunk| {
+                    let accs = &acc[r0 * n..r0 * n + chunk.len()];
+                    for ((orow, arow), &s) in chunk
+                        .chunks_exact_mut(n)
+                        .zip(accs.chunks_exact(n))
+                        .zip(&s_a[r0..])
+                    {
+                        for ((o, &a), &w) in orow.iter_mut().zip(arow).zip(&self.col_scales) {
+                            *o = (wrap_i128(a, self.acc_width) as f64 * lsb * s * w) as f32;
+                        }
+                    }
+                });
             }
             EnginePath::Wide { weights } => {
                 mersit_obs::incr("ptq.bittrue.wide_path");
+                let s_a = self.row_scales(x2);
+                let a_codes = self.encode_codes(x2, &s_a);
                 let a_ops: Vec<WideOperand> = {
                     let (params, _) = wide_spec(self.fmt.as_ref());
                     a_codes

@@ -501,7 +501,7 @@ fn flush(shared: &Shared, batch: Vec<Pending>) {
         }
         Err(payload) => {
             mersit_obs::incr("serve.batch.failed");
-            let msg = panic_message(&payload);
+            let msg = panic_message(&*payload);
             for p in batch {
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
                 let _ = p.tx.send(Err(ServeError::Internal(msg.clone())));

@@ -194,7 +194,7 @@ fn backpressure_validation_and_graceful_shutdown() {
         std::panic::set_hook(prev);
         for result in quantized {
             match result {
-                Err(ServeError::Internal(_)) => {}
+                Err(ServeError::Internal(msg)) => assert_eq!(msg, "plan build panics on purpose"),
                 other => panic!("expected Internal, got {other:?}"),
             }
         }

@@ -6,6 +6,8 @@
 //! `[OC, C·KH·KW]` (already flattened for im2col matmuls), depthwise
 //! weights are `[C, KH, KW]`.
 
+use std::ops::Range;
+
 use crate::par;
 use crate::tensor::Tensor;
 
@@ -209,11 +211,92 @@ pub fn add_channel_bias(x: &mut Tensor, bias: &Tensor) {
 
 /// Depthwise convolution forward: `x` NCHW, `w` `[C, KH, KW]`.
 ///
+/// The output splits into independent `OH·OW` planes, one per (sample,
+/// channel), and the planes run on the pool ([`par::par_chunks_mut`]).
+/// Inside a plane the taps are the outer loop: for each `(ky, kx)` the
+/// output rows and columns whose input lies inside the image are found
+/// once, and `x · w` is added along them, over contiguous slices at
+/// stride 1. Every output still starts at `0.0` and adds its in-bounds
+/// taps in `(ky, kx)` order, the order of the output-major loop this
+/// replaced, so each output sees the same sequence of f32 operations:
+/// the result is bit-identical at every thread count.
+///
 /// # Panics
 ///
 /// Panics on inconsistent shapes.
 #[must_use]
 pub fn dwconv2d(x: &Tensor, w: &Tensor, spec: &ConvSpec) -> Tensor {
+    let (n, c, h, ww) = dims4(x);
+    assert_eq!(w.shape()[0], c, "depthwise kernel channel mismatch");
+    let (oh, ow) = spec.out_hw(h, ww);
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    // One plane costs OH·OW·KH·KW multiply-adds.
+    let floor = par::min_units(oh * ow * spec.kh * spec.kw);
+    par::par_chunks_mut(&mut out, oh * ow, floor, |p0, chunk| {
+        dwconv_planes(x, w, spec, p0, chunk);
+    });
+    Tensor::from_vec(out, &[n, c, oh, ow])
+}
+
+/// The body of [`dwconv2d`] for whole output planes `p0, p0 + 1, …`
+/// (plane `p` is sample `p / C`, channel `p % C`), written into the
+/// zeroed `out`: taps outermost, each tap added over the output rows and
+/// columns whose input is inside the image.
+fn dwconv_planes(x: &Tensor, w: &Tensor, spec: &ConvSpec, p0: usize, out: &mut [f32]) {
+    let (_, c, h, ww) = dims4(x);
+    let (oh, ow) = spec.out_hw(h, ww);
+    let (kh, kw, stride, pad) = (spec.kh, spec.kw, spec.stride, spec.pad);
+    for (dp, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let p = p0 + dp;
+        let xp = &x.data()[p * h * ww..(p + 1) * h * ww];
+        let taps = &w.data()[(p % c) * kh * kw..(p % c + 1) * kh * kw];
+        for ky in 0..kh {
+            let rows = tap_range(ky, pad, stride, h, oh);
+            for kx in 0..kw {
+                let cols = tap_range(kx, pad, stride, ww, ow);
+                // An empty range may start past its end: skip it before
+                // it is used as a slice bound.
+                if rows.is_empty() || cols.is_empty() {
+                    continue;
+                }
+                let tap = taps[ky * kw + kx];
+                let ix0 = cols.start * stride + kx - pad;
+                for oy in rows.clone() {
+                    let iy = oy * stride + ky - pad;
+                    let xs = &xp[iy * ww + ix0..(iy + 1) * ww];
+                    let os = &mut plane[oy * ow + cols.start..oy * ow + cols.end];
+                    if stride == 1 {
+                        for (o, &xv) in os.iter_mut().zip(xs) {
+                            *o += xv * tap;
+                        }
+                    } else {
+                        for (o, &xv) in os.iter_mut().zip(xs.iter().step_by(stride)) {
+                            *o += xv * tap;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The outputs `o < n_out` that tap `k` reaches: those whose input index
+/// `o·stride + k − pad` lies in `0..n_in`. Empty when none does, and then
+/// its start may exceed its end.
+fn tap_range(k: usize, pad: usize, stride: usize, n_in: usize, n_out: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(k).div_ceil(stride);
+    let hi = if n_in + pad > k {
+        ((n_in + pad - k - 1) / stride + 1).min(n_out)
+    } else {
+        0
+    };
+    lo..hi
+}
+
+/// The output-major depthwise loop [`dwconv2d`] replaced: the reference
+/// its bits are pinned against.
+#[cfg(test)]
+fn dwconv2d_reference(x: &Tensor, w: &Tensor, spec: &ConvSpec) -> Tensor {
     let (n, c, h, ww) = dims4(x);
     assert_eq!(w.shape()[0], c, "depthwise kernel channel mismatch");
     let (oh, ow) = spec.out_hw(h, ww);
@@ -565,6 +648,69 @@ mod tests {
                             }
                         }
                         assert!((got.at(&[ni, ci, oy, ox]) - s).abs() < 1e-4);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`dwconv2d`]'s plane split at an explicit thread count, with a
+    /// floor of one plane per chunk so that small tensors split too.
+    fn dwconv2d_with_threads(threads: usize, x: &Tensor, w: &Tensor, spec: &ConvSpec) -> Tensor {
+        let (n, c, h, ww) = dims4(x);
+        let (oh, ow) = spec.out_hw(h, ww);
+        let mut out = vec![0.0f32; n * c * oh * ow];
+        par::par_chunks_mut_with(threads, &mut out, oh * ow, 1, |p0, chunk| {
+            dwconv_planes(x, w, spec, p0, chunk);
+        });
+        Tensor::from_vec(out, &[n, c, oh, ow])
+    }
+
+    #[test]
+    fn dwconv_tap_major_bit_identical_to_reference() {
+        // On a 1×1 input with pad 2 and a 5-wide kernel, tap 0 reaches
+        // no output and its range starts past its end.
+        let r = tap_range(0, 2, 1, 1, 1);
+        assert!(r.is_empty() && r.start > r.end);
+        let mut rng = Rng::new(8);
+        // (N, C, H, W): 1×1, odd and non-square planes, N and C from 1,
+        // and a mobilenet-sized tensor that `dwconv2d` itself splits.
+        let shapes = [
+            (1, 1, 1, 1),
+            (1, 2, 5, 5),
+            (2, 3, 7, 4),
+            (3, 1, 3, 9),
+            (1, 4, 1, 6),
+            (2, 5, 6, 1),
+            (2, 8, 16, 16),
+        ];
+        for k in [1, 2, 3, 5] {
+            for stride in [1, 2, 3] {
+                for pad in [0, 1, 2] {
+                    let spec = ConvSpec::new(k, stride, pad);
+                    for &(n, c, h, ww) in &shapes {
+                        if h + 2 * pad < k || ww + 2 * pad < k {
+                            continue;
+                        }
+                        let x = Tensor::randn(&[n, c, h, ww], 1.0, &mut rng);
+                        let w = Tensor::randn(&[c, k, k], 0.5, &mut rng);
+                        let want = dwconv2d_reference(&x, &w, &spec);
+                        let mut runs = vec![("dwconv2d".to_owned(), dwconv2d(&x, &w, &spec))];
+                        for threads in [1, 2, 7] {
+                            let got = dwconv2d_with_threads(threads, &x, &w, &spec);
+                            runs.push((format!("{threads} threads"), got));
+                        }
+                        for (what, got) in runs {
+                            assert_eq!(got.shape(), want.shape());
+                            for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{what}, {spec:?}, x {:?}, element {i}",
+                                    x.shape()
+                                );
+                            }
+                        }
                     }
                 }
             }
