@@ -78,5 +78,6 @@ pub use param::{Param, RefParamVisitor};
 pub use site::{trace_sites, Site, SiteId, SiteTable};
 pub use stats::{profile_model, LayerStats, ModelProfile};
 pub use train::{
-    predict_one_batch_ref, predict_ref, train_classifier, OptState, Optimizer, Split, TrainConfig,
+    predict_one_batch_ref, predict_ref, predict_sharded, train_classifier, OptState, Optimizer,
+    Split, TrainConfig,
 };

@@ -217,28 +217,30 @@ pub fn train_classifier(net: &mut dyn Layer, train: &Split, cfg: &TrainConfig) -
     losses
 }
 
-/// Runs FP32 inference and returns the predicted class per sample. Needs
-/// only `&` access to the network, so callers can run several predictions
-/// concurrently over one model.
-///
-/// Samples are sharded across the global pool in whole-batch chunks
-/// (`Layer: Send + Sync` makes `&dyn Layer` shareable); each sample's
-/// forward is independent and per-sample arithmetic never depends on its
-/// batch-mates, so predictions are bit-identical to the serial loop for
-/// every thread count. The per-batch forwards inside a shard nest their
-/// own GEMM dispatches, which the stealing pool composes instead of
-/// serializing.
+/// Runs FP32 inference and returns the predicted class per sample,
+/// through [`predict_sharded`]. Needs only `&` access to the network
+/// (`Layer: Send + Sync` makes `&dyn Layer` shareable), so callers can
+/// run several predictions concurrently over one model.
 pub fn predict_ref(net: &dyn Layer, inputs: &Tensor, batch: usize) -> Vec<usize> {
-    let n = inputs.shape()[0];
-    let batch = batch.max(1);
-    let mut preds = vec![0usize; n];
+    predict_sharded(inputs, batch.max(1), |x| predict_one_batch_ref(net, x))
+}
+
+/// Runs `predict_batch` over `inputs` in batches of at most `batch`
+/// samples, sharded across the global pool in whole-batch chunks, and
+/// returns the predicted class per sample. Per-sample arithmetic never
+/// depends on batch-mates, so predictions are bit-identical to the
+/// serial loop for every thread count. The forwards inside a shard nest
+/// their own GEMM dispatches, which the stealing pool composes. Panics
+/// when `batch` is 0.
+pub fn predict_sharded<F>(inputs: &Tensor, batch: usize, predict_batch: F) -> Vec<usize>
+where
+    F: Fn(Tensor) -> Vec<usize> + Sync,
+{
+    let mut preds = vec![0usize; inputs.shape()[0]];
     mersit_tensor::par::par_chunks_mut(&mut preds, 1, batch, |s0, chunk| {
-        let mut i = 0;
-        while i < chunk.len() {
-            let hi = (i + batch).min(chunk.len());
-            let x = inputs.slice_outer(s0 + i, s0 + hi);
-            chunk[i..hi].copy_from_slice(&predict_one_batch_ref(net, x));
-            i = hi;
+        for (j, out) in chunk.chunks_mut(batch).enumerate() {
+            let lo = s0 + j * batch;
+            out.copy_from_slice(&predict_batch(inputs.slice_outer(lo, lo + out.len())));
         }
     });
     preds

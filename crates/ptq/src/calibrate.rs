@@ -216,9 +216,7 @@ mod consistency_tests {
             inner: plan.tap(),
             seen: BTreeSet::new(),
         };
-        let mut ctx = Ctx::compiled(&plan.sites, &mut spy).with_overrides(&plan.weights);
-        let _ = model.net.forward_ref(x, &mut ctx);
-        assert_eq!(ctx.overrides_consumed(), plan.num_weight_slots());
+        let _ = plan.logits(&model, x, &mut spy);
         let calibrated: BTreeSet<String> = cal.sites().iter().map(|(_, p)| p.to_owned()).collect();
         assert_eq!(spy.seen, calibrated, "tap site mismatch");
         assert!(spy.seen.len() > 20, "nontrivial site count");

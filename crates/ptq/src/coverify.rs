@@ -32,8 +32,7 @@ use crate::assign::FormatAssignment;
 use crate::bittrue::Executor;
 use crate::calibrate::Calibration;
 use crate::executor::{PlanTap, QuantPlan};
-use crate::quantizer::quantize_tensor;
-use mersit_nn::{argmax_rows, Ctx, Layer, Model, Site, Tap};
+use mersit_nn::{argmax_rows, Model, Site, Tap};
 use mersit_obs::report::json_string;
 use mersit_tensor::Tensor;
 
@@ -192,18 +191,12 @@ pub fn coverify(
     while i < n {
         let hi = (i + batch).min(n);
         let x = inputs.slice_outer(i, hi);
-        let x = match float_plan.input_scale {
-            Some(s) => quantize_tensor(float_plan.input_fmt.as_ref(), &x, s),
-            None => x,
-        };
 
         let mut rec = RecordTap {
             plan: float_plan.tap(),
             recorded: Vec::new(),
         };
-        let mut ctx =
-            Ctx::compiled(&float_plan.sites, &mut rec).with_overrides(&float_plan.weights);
-        let logits_f = model.net.forward_ref(x.clone(), &mut ctx);
+        let logits_f = float_plan.logits(model, x.clone(), &mut rec);
         let recorded = rec.recorded;
 
         let mut cmp = CompareTap {
@@ -212,8 +205,7 @@ pub fn coverify(
             next: 0,
             aggs: &mut aggs,
         };
-        let mut ctx = Ctx::compiled(&bt_plan.sites, &mut cmp).with_overrides(&bt_plan.weights);
-        let logits_b = model.net.forward_ref(x, &mut ctx);
+        let logits_b = bt_plan.logits(model, x, &mut cmp);
         assert_eq!(
             cmp.next,
             recorded.len(),

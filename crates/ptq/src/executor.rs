@@ -39,8 +39,10 @@ use crate::bittrue::{Executor, QuantGemm};
 use crate::calibrate::{Calibration, INPUT_PATH};
 use crate::quantizer::{quantize_per_channel, quantize_slice, scale_anchor, site_scale};
 use mersit_core::{Format, FormatRef};
-use mersit_nn::{argmax_rows, Ctx, InputKind, Layer, Model, PlanWeight, Site, SiteTable, Tap};
-use mersit_tensor::{par, Tensor};
+use mersit_nn::{
+    argmax_rows, predict_sharded, Ctx, InputKind, Layer, Model, PlanWeight, Site, SiteTable, Tap,
+};
+use mersit_tensor::Tensor;
 use std::sync::Arc;
 
 /// A compiled, immutable evaluation plan for one (model, assignment)
@@ -59,15 +61,15 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct QuantPlan {
     pub(crate) assign: FormatAssignment,
-    pub(crate) weights: Vec<PlanWeight>,
+    weights: Vec<PlanWeight>,
     /// Per-site resolved formats, in [`SiteTable`] id order.
     pub(crate) site_fmts: Vec<FormatRef>,
     pub(crate) scales: Vec<Option<f64>>,
     pub(crate) sites: SiteTable,
     /// The format the network input quantizes through
     /// ([`crate::INPUT_PATH`] resolution).
-    pub(crate) input_fmt: FormatRef,
-    pub(crate) input_scale: Option<f64>,
+    input_fmt: FormatRef,
+    input_scale: Option<f64>,
     executor: Executor,
 }
 
@@ -212,18 +214,17 @@ impl QuantPlan {
 
     /// Runs one compiled batch and returns its argmax predictions.
     fn predict_batch(&self, model: &Model, x: Tensor) -> Vec<usize> {
-        argmax_rows(&self.logits(model, x))
+        argmax_rows(&self.logits(model, x, &mut self.tap()))
     }
 
     /// The logits of one compiled batch: quantize the input (image
     /// models), then a shared-reference forward with weight overrides and
-    /// the plan tap.
-    fn logits(&self, model: &Model, mut x: Tensor) -> Tensor {
+    /// `tap` (the plan's own [`QuantPlan::tap`], or one wrapping it).
+    pub(crate) fn logits(&self, model: &Model, mut x: Tensor, tap: &mut dyn Tap) -> Tensor {
         if let Some(s) = self.input_scale {
             quantize_slice(self.input_fmt.as_ref(), x.data_mut(), s);
         }
-        let mut tap = self.tap();
-        let mut ctx = Ctx::compiled(&self.sites, &mut tap).with_overrides(&self.weights);
+        let mut ctx = Ctx::compiled(&self.sites, tap).with_overrides(&self.weights);
         let logits = model.net.forward_ref(x, &mut ctx);
         assert_eq!(
             ctx.overrides_consumed(),
@@ -263,19 +264,8 @@ impl QuantPlan {
     pub fn predict(&self, model: &Model, inputs: &Tensor, batch: usize) -> Vec<usize> {
         let _span = mersit_obs::span("ptq.plan.predict");
         assert!(batch > 0, "batch size must be positive");
-        let n = inputs.shape()[0];
-        mersit_obs::add("ptq.predict.samples", n as u64);
-        let mut preds = vec![0usize; n];
-        par::par_chunks_mut(&mut preds, 1, batch, |s0, chunk| {
-            let mut i = 0;
-            while i < chunk.len() {
-                let hi = (i + batch).min(chunk.len());
-                let x = inputs.slice_outer(s0 + i, s0 + hi);
-                chunk[i..hi].copy_from_slice(&self.predict_batch(model, x));
-                i = hi;
-            }
-        });
-        preds
+        mersit_obs::add("ptq.predict.samples", inputs.shape()[0] as u64);
+        predict_sharded(inputs, batch, |x| self.predict_batch(model, x))
     }
 }
 
@@ -411,7 +401,10 @@ mod tests {
                     // Batch 5 leaves an uneven final batch.
                     let batches: Vec<Tensor> = (0..48)
                         .step_by(5)
-                        .map(|i| plan.logits(model, inputs.slice_outer(i, (i + 5).min(48))))
+                        .map(|i| {
+                            let x = inputs.slice_outer(i, (i + 5).min(48));
+                            plan.logits(model, x, &mut plan.tap())
+                        })
                         .collect();
                     let logits = Tensor::cat_outer(&batches.iter().collect::<Vec<_>>());
                     let preds: Vec<String> =

@@ -51,7 +51,7 @@ pub use ops::{
     global_avg_pool, global_avg_pool_backward, im2col, maxpool2d, maxpool2d_backward, nchw_to_rows,
     rows_to_nchw, softmax_rows, ConvSpec,
 };
-pub use par::{par_chunks_mut, par_chunks_mut_with, pool_size, thread_count};
+pub use par::{par_chunks_mut, par_chunks_mut_with, pool_size};
 pub use qgemm::PackedCodeRhs;
 pub use rng::Rng;
 pub use tensor::Tensor;

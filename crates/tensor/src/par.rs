@@ -68,10 +68,7 @@
 //! `tensor.par.calls_serial`. With the toggle off this instrumentation
 //! is a single atomic load per dispatch.
 
-use std::env;
-use std::num::NonZeroUsize;
 use std::slice;
-use std::thread;
 
 use crate::pool;
 
@@ -93,35 +90,18 @@ pub fn min_units(work_per_unit: usize) -> usize {
     (PAR_WORK_TARGET / work_per_unit.max(1)).max(1)
 }
 
-/// Worker-thread count: `MERSIT_THREADS` when set to a positive integer,
-/// otherwise the machine's available parallelism. `1` disables threading.
-///
-/// The pool latches this at its first dispatch; see [`pool_size`] for the
-/// count actually in use.
-#[must_use]
-pub fn thread_count() -> usize {
-    if let Ok(v) = env::var("MERSIT_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
 /// Number of threads the live worker pool runs dispatches on (workers +
 /// dispatcher), initializing the pool if needed. This is the value
 /// benchmark reports should record as "threads used".
 #[must_use]
 pub fn pool_size() -> usize {
-    pool::size()
+    pool::handle().size
 }
 
 /// Splits `data` into contiguous chunks of whole `unit`-sized blocks and
 /// runs `f(first_unit_index, chunk)` across the pool, publishing up to
-/// [`thread_count`]` × CHUNKS_PER_THREAD` chunks (capped so each carries
-/// at least `min_units_per_chunk` units).
+/// [`pool_size`]` × CHUNKS_PER_THREAD` chunks (capped so each carries at
+/// least `min_units_per_chunk` units).
 ///
 /// # Panics
 ///
@@ -132,7 +112,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    par_chunks_mut_with(thread_count(), data, unit, min_units_per_chunk, f);
+    split(None, data, unit, min_units_per_chunk, f);
 }
 
 /// Raw base pointer of the output buffer, smuggled into the `Fn(usize)`
@@ -151,7 +131,7 @@ impl<T> SyncPtr<T> {
 
 /// [`par_chunks_mut`] with an explicit thread-count target (used by tests
 /// and benchmarks to compare scaling without touching the environment).
-/// The chunks still execute on the [`thread_count`]-sized pool.
+/// The chunks still execute on the live pool of [`pool_size`] threads.
 ///
 /// # Panics
 ///
@@ -159,6 +139,21 @@ impl<T> SyncPtr<T> {
 /// `f` propagate to the caller after the dispatch completes.
 pub fn par_chunks_mut_with<T, F>(
     threads: usize,
+    data: &mut [T],
+    unit: usize,
+    min_units_per_chunk: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    split(Some(threads), data, unit, min_units_per_chunk, f);
+}
+
+/// The body of [`par_chunks_mut`] (`threads: None`: split for the pool's
+/// size) and [`par_chunks_mut_with`].
+fn split<T, F>(
+    threads: Option<usize>,
     data: &mut [T],
     unit: usize,
     min_units_per_chunk: usize,
@@ -175,19 +170,19 @@ pub fn par_chunks_mut_with<T, F>(
     );
     let units = data.len() / unit;
     let by_work = units / min_units_per_chunk.max(1);
-    let n_chunks = threads
-        .saturating_mul(CHUNKS_PER_THREAD)
-        .min(by_work)
-        .max(1);
+    // Only a call that can split consults the pool, and only once: the
+    // handle gives the size to split for and takes the dispatch.
+    let pool = (by_work > 1 && threads.is_none_or(|t| t > 1)).then(pool::handle);
+    let threads = threads.or(pool.as_ref().map(|p| p.size)).unwrap_or(1);
     let obs_on = mersit_obs::enabled();
-    if threads <= 1 || n_chunks <= 1 {
+    let Some(pool) = pool.filter(|_| threads > 1) else {
         if obs_on {
             mersit_obs::incr("tensor.par.calls_serial");
             mersit_obs::observe("tensor.par.chunk_units", units as f64);
         }
         f(0, data);
         return;
-    }
+    };
     if obs_on {
         mersit_obs::incr("tensor.par.calls_parallel");
     }
@@ -196,7 +191,7 @@ pub fn par_chunks_mut_with<T, F>(
     } else {
         mersit_obs::SpanGuard::inert()
     };
-    let per = units.div_ceil(n_chunks);
+    let per = units.div_ceil(threads.saturating_mul(CHUNKS_PER_THREAD).min(by_work));
     let n_chunks = units.div_ceil(per);
     let len = data.len();
     let base = SyncPtr(data.as_mut_ptr());
@@ -217,7 +212,7 @@ pub fn par_chunks_mut_with<T, F>(
         };
         f(first, chunk);
     };
-    pool::dispatch(n_chunks, &run);
+    pool::dispatch(&pool, n_chunks, &run);
 }
 
 #[cfg(test)]
@@ -289,11 +284,6 @@ mod tests {
     fn ragged_buffer_panics() {
         let mut data = vec![0u8; 7];
         par_chunks_mut_with(2, &mut data, 2, 1, |_, _| {});
-    }
-
-    #[test]
-    fn thread_count_is_positive() {
-        assert!(thread_count() >= 1);
     }
 
     #[test]

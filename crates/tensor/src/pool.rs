@@ -1,6 +1,6 @@
 //! Global work-stealing scheduler behind [`crate::par`]: lazily spawned
-//! once, sized by [`crate::par::thread_count`], parked on a condvar when
-//! idle.
+//! once, sized by `MERSIT_THREADS` at its build (the variable's only
+//! reader), parked on a condvar when idle.
 //!
 //! The previous pool pushed every fan-out onto one shared task list and
 //! ran any dispatch issued *from* a worker thread inline-serially, so
@@ -63,6 +63,8 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::env;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -168,7 +170,7 @@ struct Sleep {
     epoch: u64,
 }
 
-struct Inner {
+pub(crate) struct Inner {
     /// `queues[INJECTOR]` is the injector (external dispatchers);
     /// `queues[1 + w]` is worker `w`'s deque.
     queues: Vec<Mutex<VecDeque<Job>>>,
@@ -176,7 +178,7 @@ struct Inner {
     work_cv: Condvar,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
     /// Total threads a dispatch can use (spawned workers + dispatcher).
-    size: usize,
+    pub(crate) size: usize,
     generation: u64,
 }
 
@@ -312,15 +314,29 @@ fn worker_loop(inner: &Inner, index: usize) {
     }
 }
 
+/// Worker-thread count: `MERSIT_THREADS` when set to a positive integer,
+/// otherwise the machine's available parallelism. `1` disables threading.
+/// Read only when [`handle`] builds a pool.
+fn thread_count() -> usize {
+    if let Ok(v) = env::var("MERSIT_THREADS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            if n >= 1 {
+                return n;
+            }
+        }
+    }
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// The live pool, building it on first use. `MERSIT_THREADS` (via
-/// [`crate::par::thread_count`]) is read once here; later changes take
-/// effect only after a [`shutdown`].
-fn handle() -> Arc<Inner> {
+/// [`thread_count`]) is read once here; later changes take effect only
+/// after a [`shutdown`]. Each call takes `POOL`'s lock once.
+pub(crate) fn handle() -> Arc<Inner> {
     let mut guard = POOL.lock().unwrap();
     if let Some(inner) = guard.as_ref() {
         return inner.clone();
     }
-    let size = crate::par::thread_count().max(1);
+    let size = thread_count();
     let inner = Arc::new(Inner {
         queues: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
         sleep: Mutex::new(Sleep {
@@ -354,13 +370,6 @@ fn handle() -> Arc<Inner> {
     inner
 }
 
-/// Number of threads the pool runs dispatches on (workers + dispatcher),
-/// initializing the pool if needed.
-#[must_use]
-pub fn size() -> usize {
-    handle().size
-}
-
 /// True on a pool worker thread (of any pool generation). Nested
 /// dispatches no longer special-case this — they queue onto the worker's
 /// own deque — but tests use it to pin thread identities.
@@ -369,12 +378,12 @@ pub fn is_worker_thread() -> bool {
     WORKER.with(Cell::get).is_some()
 }
 
-/// Runs `run(idx)` for every `idx in 0..chunks` across the pool,
-/// returning when all chunks finished. May be called from any thread,
-/// including pool workers mid-chunk (the subtasks are pushed onto that
-/// worker's deque and are stealable). Panics from chunks are re-raised
-/// here after completion.
-pub(crate) fn dispatch<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
+/// Runs `run(idx)` for every `idx in 0..chunks` across `inner` (the
+/// [`handle`] the caller took), returning when all chunks finished. May
+/// be called from any thread, including pool workers mid-chunk (the
+/// subtasks are pushed onto that worker's deque and are stealable).
+/// Panics from chunks are re-raised here after completion.
+pub(crate) fn dispatch<F: Fn(usize) + Sync>(inner: &Inner, chunks: usize, run: &F) {
     /// Monomorphized un-eraser for [`Task::data`].
     unsafe fn trampoline<F: Fn(usize) + Sync>(p: *const (), idx: usize) {
         unsafe { (*p.cast::<F>())(idx) }
@@ -382,7 +391,6 @@ pub(crate) fn dispatch<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
     if chunks == 0 {
         return;
     }
-    let inner = handle();
     let obs_on = mersit_obs::enabled();
     if obs_on {
         mersit_obs::incr("tensor.pool.dispatches");
@@ -436,6 +444,11 @@ pub fn shutdown() {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    /// [`super::dispatch`] on the live pool.
+    fn dispatch<F: Fn(usize) + Sync>(chunks: usize, run: &F) {
+        super::dispatch(&handle(), chunks, run);
+    }
 
     #[test]
     fn every_chunk_runs_exactly_once() {
@@ -493,8 +506,13 @@ mod tests {
 
     #[test]
     fn size_is_positive_and_stable() {
-        let s = size();
+        let s = handle().size;
         assert!(s >= 1);
-        assert_eq!(size(), s);
+        assert_eq!(handle().size, s);
+    }
+
+    #[test]
+    fn thread_count_is_positive() {
+        assert!(thread_count() >= 1);
     }
 }

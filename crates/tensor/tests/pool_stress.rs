@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mersit_tensor::{par_chunks_mut_with, pool, pool_size};
+use mersit_tensor::{par_chunks_mut, par_chunks_mut_with, pool, pool_size};
 
 /// Recursive nested dispatch: each level fans out over the slice and the
 /// leaves increment. Exercises dispatch-from-worker at every depth — on
@@ -208,6 +208,32 @@ fn pool_lifecycle_and_stress() {
             assert!(l.join().unwrap() > 0, "load thread made progress");
         }
     });
+
+    // The latched pool owns the thread count: changing `MERSIT_THREADS`
+    // without a shutdown moves no dispatch's split.
+    let env = std::env::var_os("MERSIT_THREADS");
+    std::env::set_var("MERSIT_THREADS", (pool_size() + 5).to_string());
+    let chunks = |threads: Option<usize>| {
+        let seen = AtomicUsize::new(0);
+        let count = |_: usize, _: &mut [u8]| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        };
+        let mut data = vec![0u8; 4096];
+        match threads {
+            Some(t) => par_chunks_mut_with(t, &mut data, 1, 1, count),
+            None => par_chunks_mut(&mut data, 1, 1, count),
+        }
+        seen.into_inner()
+    };
+    assert_eq!(
+        chunks(None),
+        chunks(Some(pool_size())),
+        "par_chunks_mut splits for the latched pool size, not the environment"
+    );
+    match env {
+        Some(v) => std::env::set_var("MERSIT_THREADS", v),
+        None => std::env::remove_var("MERSIT_THREADS"),
+    }
 
     // Shutdown joins the workers; the next dispatch transparently builds
     // a fresh pool of the same (env-derived) size.
