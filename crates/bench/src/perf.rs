@@ -20,6 +20,10 @@
 //! key of `BENCH_ptq.json`. Comparing runs at different
 //! `MERSIT_THREADS` settings shows how the sweep scales with the pool.
 //!
+//! It also times the FP32 layer kernels where the serving benchmark's
+//! set-up runs them: FP32 forwards of the served zoo at batch 1 and 8,
+//! and calibrating it, under the `"fp32_forward"` key.
+//!
 //! With `--repeat R` the whole measurement runs `R` times and the JSON
 //! reports the **median** of every rate and the **min** of every
 //! wall-clock (plus explicit `*_median` sweep keys), so scheduler jitter
@@ -27,6 +31,7 @@
 
 use mersit_core::{quantize_slice_scalar, table2_formats, Format, FormatRef, QuantLut};
 use mersit_nn::models::{mobilenet_v3_t, vgg_t};
+use mersit_nn::{Ctx, Layer};
 use mersit_obs::report::json_string;
 use mersit_ptq::{calibrate, QuantPlan};
 use mersit_tensor::{gemm, par, qgemm, Rng, Tensor};
@@ -91,14 +96,9 @@ const LUT_BUILDS: usize = 201;
 /// Median wall-clock of one `QuantLut::build` of `fmt` at `scale`, in µs.
 fn lut_build_us(fmt: &dyn Format, scale: f64) -> f64 {
     let spec = fmt.quant_spec();
-    let samples = (0..LUT_BUILDS)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(QuantLut::build(black_box(&spec), black_box(scale)));
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    median(samples)
+    median_us(LUT_BUILDS, || {
+        black_box(QuantLut::build(black_box(&spec), black_box(scale)));
+    })
 }
 
 /// One format's wall-clock contribution to the sweep, summed over models.
@@ -201,6 +201,97 @@ pub fn run_sweep_bench(quick: bool) -> SweepBench {
         bench.threads
     );
     bench
+}
+
+/// Image size of the zoo the serving benchmark serves
+/// (`crates/bench/src/bin/benchmark/spec.rs`).
+const SERVED_HW: usize = 10;
+
+/// Seed the serving benchmark builds its zoo from.
+const SERVED_ZOO_SEED: u64 = 0x5E4E;
+
+/// One served model's FP32 forward, median µs per call.
+#[derive(Debug, Clone)]
+pub struct Fp32Row {
+    /// Model name.
+    pub model: String,
+    /// One sample.
+    pub b1_us: f64,
+    /// A batch of 8.
+    pub b8_us: f64,
+}
+
+/// The FP32 layer kernels as the serving set-up runs them.
+#[derive(Debug, Clone)]
+pub struct Fp32Bench {
+    /// FP32 forwards of each served model.
+    pub models: Vec<Fp32Row>,
+    /// Calibrating both models on 16 images in batches of 8, median ms.
+    pub calibrate_ms: f64,
+}
+
+/// Median wall-clock of `reps` calls of `f`, in µs, after one warm-up.
+fn median_us(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let samples = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    median(samples)
+}
+
+/// Times the FP32 forward of the served zoo (`vgg_t` and
+/// `mobilenet_v3_t` at 10×10, seed `0x5E4E`, built and calibrated as the
+/// serving benchmark builds them) at batch 1 and 8, and the calibration
+/// of both models: the im2col, activation, norm and GEMM kernels that
+/// every FP32, float-plan and bit-true forward shares. Records no obs
+/// span of its own.
+#[must_use]
+pub fn run_fp32_bench(quick: bool) -> Fp32Bench {
+    let (fwd_reps, cal_reps) = if quick { (41, 5) } else { (201, 21) };
+    let mut rng = Rng::new(SERVED_ZOO_SEED);
+    let models = [
+        vgg_t(SERVED_HW, 10, &mut rng),
+        mobilenet_v3_t(SERVED_HW, 10, &mut rng),
+    ];
+    let calibs: Vec<Tensor> = models
+        .iter()
+        .map(|_| Tensor::randn(&[16, 3, SERVED_HW, SERVED_HW], 1.0, &mut rng))
+        .collect();
+    let mut x_rng = Rng::new(0xF32F);
+    let rows: Vec<Fp32Row> = models
+        .iter()
+        .map(|model| {
+            let mut forward_us = |batch: usize| {
+                let x = Tensor::randn(&[batch, 3, SERVED_HW, SERVED_HW], 1.0, &mut x_rng);
+                median_us(fwd_reps, || {
+                    black_box(model.net.forward_ref(x.clone(), &mut Ctx::new()));
+                })
+            };
+            Fp32Row {
+                model: model.name.clone(),
+                b1_us: forward_us(1),
+                b8_us: forward_us(8),
+            }
+        })
+        .collect();
+    let calibrate_ms = median_us(cal_reps, || {
+        for (model, calib) in models.iter().zip(&calibs) {
+            black_box(calibrate(model, calib, 8));
+        }
+    }) / 1e3;
+    println!("{:<16} {:>10} {:>10}", "fp32 forward", "b1 us", "b8 us");
+    for r in &rows {
+        println!("{:<16} {:>10.1} {:>10.1}", r.model, r.b1_us, r.b8_us);
+    }
+    println!("calibrate (both models, 16 images): {calibrate_ms:.3} ms");
+    Fp32Bench {
+        models: rows,
+        calibrate_ms,
+    }
 }
 
 /// One matmul shape's measured throughput, naive vs packed/blocked.
@@ -443,6 +534,8 @@ pub struct PerfReport {
     pub gemm: Vec<GemmRow>,
     /// Bit-true integer matmul throughput rows.
     pub qgemm: Vec<QgemmRow>,
+    /// FP32 forwards and calibration of the served zoo.
+    pub fp32: Fp32Bench,
     /// The PTQ plan sweep wall-clocks.
     pub sweep: SweepBench,
 }
@@ -521,11 +614,13 @@ pub fn measure_perf_ptq(n: usize, quick: bool) -> PerfReport {
 
     let gemm = run_gemm_bench();
     let qgemm = run_qgemm_bench();
+    let fp32 = run_fp32_bench(quick);
     let sweep = run_sweep_bench(quick);
     PerfReport {
         formats: rows,
         gemm,
         qgemm,
+        fp32,
         sweep,
     }
 }
@@ -549,8 +644,9 @@ fn minimum(xs: Vec<f64>) -> f64 {
 }
 
 /// Folds repeated measurements into one report: **median** for every
-/// rate (throughput rows, GEMM MFLOP/s) and for the per-format LUT build
-/// time (already a median of many builds), **min** for every wall-clock
+/// rate (throughput rows, GEMM MFLOP/s), for the per-format LUT build
+/// time and for the FP32 forward and calibration times (each already a
+/// median of many calls), **min** for every wall-clock
 /// (sweep total, per-format seconds) with the total's median kept
 /// alongside, speedups recomputed from the aggregates.
 ///
@@ -606,6 +702,19 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
             }
         })
         .collect();
+    let fp32 = Fp32Bench {
+        models: (0..first.fp32.models.len())
+            .map(|i| {
+                let rs: Vec<&Fp32Row> = reports.iter().map(|r| &r.fp32.models[i]).collect();
+                Fp32Row {
+                    model: rs[0].model.clone(),
+                    b1_us: median(rs.iter().map(|r| r.b1_us).collect()),
+                    b8_us: median(rs.iter().map(|r| r.b8_us).collect()),
+                }
+            })
+            .collect(),
+        calibrate_ms: median(reports.iter().map(|r| r.fp32.calibrate_ms).collect()),
+    };
     let per_format = (0..first.sweep.per_format.len())
         .map(|i| {
             let fs: Vec<&FormatSweep> = reports.iter().map(|r| &r.sweep.per_format[i]).collect();
@@ -628,6 +737,7 @@ pub fn aggregate_reports(reports: &[PerfReport]) -> PerfReport {
         formats,
         gemm,
         qgemm,
+        fp32,
         sweep,
     }
 }
@@ -709,6 +819,28 @@ pub fn write_bench_json(report: &PerfReport, n: usize, scale: f64, repeats: usiz
         });
     }
     json.push_str("  ],\n");
+    let fp32 = &report.fp32;
+    json.push_str("  \"fp32_forward\": {\n");
+    let _ = writeln!(json, "    \"hw\": {SERVED_HW},");
+    let _ = writeln!(json, "    \"zoo_seed\": {SERVED_ZOO_SEED},");
+    json.push_str("    \"models\": [\n");
+    for (i, r) in fp32.models.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"model\": {}, \"b1_us\": {:.1}, \"b8_us\": {:.1}}}",
+            json_string(&r.model),
+            r.b1_us,
+            r.b8_us
+        );
+        json.push_str(if i + 1 < fp32.models.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+    }
+    json.push_str("    ],\n");
+    let _ = writeln!(json, "    \"calibrate_ms\": {:.3}", fp32.calibrate_ms);
+    json.push_str("  },\n");
     json.push_str("  \"sweep\": {\n");
     let names: Vec<String> = sweep.models.iter().map(|m| json_string(m)).collect();
     let _ = writeln!(json, "    \"models\": [{}],", names.join(", "));

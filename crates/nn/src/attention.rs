@@ -153,13 +153,13 @@ impl Embedding {
 }
 
 /// Both forwards' gather: row `r` of the `[N, T]` ids `x` becomes
-/// `table[id] + pos[r mod T]`. Returns `[N, T, D]` and the ids.
-fn embed(x: &Tensor, table: &Tensor, pos: &Tensor) -> (Tensor, Vec<usize>) {
+/// `table[id] + pos[r mod T]`. Returns `[N, T, D]`; the training forward
+/// also collects the ids into `ids` for `backward`.
+fn embed(x: &Tensor, table: &Tensor, pos: &Tensor, mut ids: Option<&mut Vec<usize>>) -> Tensor {
     let (n, t) = (x.shape()[0], x.shape()[1]);
     let (vocab, d) = (table.shape()[0], table.shape()[1]);
     let (td, pd) = (table.data(), pos.data());
     let mut out = vec![0.0f32; n * t * d];
-    let mut ids = Vec::with_capacity(n * t);
     for (row, (&v, o)) in x.data().iter().zip(out.chunks_exact_mut(d)).enumerate() {
         let id = v as usize;
         assert!(id < vocab, "token id {id} out of vocabulary (size {vocab})");
@@ -168,15 +168,18 @@ fn embed(x: &Tensor, table: &Tensor, pos: &Tensor) -> (Tensor, Vec<usize>) {
         for i in 0..d {
             o[i] = tab[i] + pv[i];
         }
-        ids.push(id);
+        if let Some(ids) = ids.as_deref_mut() {
+            ids.push(id);
+        }
     }
-    (Tensor::from_vec(out, &[n, t, d]), ids)
+    Tensor::from_vec(out, &[n, t, d])
 }
 
 impl Layer for Embedding {
     fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
         // x: [N, T] token ids stored as f32.
-        let (out, ids) = embed(&x, &self.table.value, &self.pos.value);
+        let mut ids = Vec::with_capacity(x.len());
+        let out = embed(&x, &self.table.value, &self.pos.value, Some(&mut ids));
         self.cache_ids = Some(ids);
         self.cache_nt = (x.shape()[0], x.shape()[1]);
         out
@@ -192,7 +195,7 @@ impl Layer for Embedding {
             .map_or(&self.pos.value, PlanWeight::value);
         debug_assert_eq!(table.shape(), self.table.value.shape());
         debug_assert_eq!(pos_tab.shape(), self.pos.value.shape());
-        embed(&x, table, pos_tab).0
+        embed(&x, table, pos_tab, None)
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -275,13 +278,16 @@ impl MultiHeadAttention {
 
     /// Both forwards' body: projects `x` through `wq`, `wk` and `wv`,
     /// attends per batch item and head, and projects the concatenated
-    /// heads through `wo`. Returns the output and what `backward` needs.
+    /// heads through `wo`. Returns the output and, for a training pass,
+    /// what `backward` needs; an inference pass keeps no softmax and
+    /// drops q, k and v before `wo` runs.
     fn run(
         [wq, wk, wv, wo]: [Pass<'_, Linear>; 4],
         (dim, heads): (usize, usize),
         x: Tensor,
         ctx: &mut Ctx<'_>,
-    ) -> (Tensor, MhaCache) {
+    ) -> (Tensor, Option<MhaCache>) {
+        let train = matches!(wq, Pass::Train(_));
         let (n, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         assert_eq!(d, dim, "model dim mismatch");
         let dh = d / heads;
@@ -296,7 +302,7 @@ impl MultiHeadAttention {
         let v = wv.run(x, ctx);
         ctx.pop();
         let mut concat = Tensor::zeros(&[n, t, d]);
-        let mut probs = Vec::with_capacity(n * heads);
+        let mut probs = Vec::with_capacity(if train { n * heads } else { 0 });
         for ni in 0..n {
             for h in 0..heads {
                 let qh = head(&q, ni, h, dh);
@@ -306,14 +312,17 @@ impl MultiHeadAttention {
                 let p = softmax_rows(&scores);
                 let oh = p.matmul(&vh);
                 scatter_head(&mut concat, &oh, ni, h);
-                probs.push(p);
+                if train {
+                    probs.push(p);
+                }
             }
         }
+        let nt = (n, t);
+        let cache = train.then_some(MhaCache { q, k, v, probs, nt });
         ctx.push("wo");
         let out = wo.run(concat, ctx);
         ctx.pop();
-        let nt = (n, t);
-        (out, MhaCache { q, k, v, probs, nt })
+        (out, cache)
     }
 }
 
@@ -346,7 +355,7 @@ impl Layer for MultiHeadAttention {
     fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
         let proj = [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo].map(Pass::Train);
         let (out, cache) = Self::run(proj, (self.dim, self.heads), x, ctx);
-        self.cache = Some(cache);
+        self.cache = cache;
         out
     }
 

@@ -53,7 +53,8 @@ impl Residual {
             }
             None => x,
         };
-        let sum = m.add(&s);
+        let mut sum = m;
+        sum.add_inplace(&s);
         ctx.push("add");
         let out = ctx.tap_activation(sum);
         ctx.pop();

@@ -37,7 +37,7 @@ pub trait BitTrueGemm: std::fmt::Debug + Send + Sync {
 #[derive(Debug, Clone)]
 pub enum PlanWeight {
     /// The override tensor, read as is (any weight; a GEMM consumer
-    /// transposes and multiplies it).
+    /// multiplies by its transpose, [`Tensor::matmul_t`]).
     Value(Tensor),
     /// A GEMM weight packed as the `[in, out]` rhs of `x · Wᵀ`: the
     /// transpose and pack are paid once per plan instead of once per
@@ -85,7 +85,7 @@ impl PlanWeight {
     /// ran, and every route asserts its inner dimension.
     pub(crate) fn gemm_t(&self, x2: &Tensor) -> Tensor {
         match self {
-            Self::Value(w) => x2.matmul(&w.transpose()),
+            Self::Value(w) => x2.matmul_t(w),
             Self::Packed(p) => x2.matmul_packed(p),
             Self::BitTrue(engine) => engine.gemm(x2),
         }

@@ -23,7 +23,7 @@ fn gemm_t(x2: &Tensor, w: &Tensor, ov: Option<&PlanWeight>) -> Tensor {
             );
             y
         }
-        None => x2.matmul(&w.transpose()),
+        None => x2.matmul_t(w),
     }
 }
 
@@ -402,22 +402,18 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, x.shape())
     }
 
-    fn forward_ref(&self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
-        let (n, c, h, w) = dims4(&x);
-        let xd = x.data();
-        let mut out = vec![0.0f32; x.len()];
+    fn forward_ref(&self, mut x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
+        let (_, c, h, w) = dims4(&x);
         let (gd, bd) = (self.gamma.value.data(), self.beta.value.data());
         let (rm, rv) = (self.running_mean.data(), self.running_var.data());
-        for ni in 0..n {
-            for ci in 0..c {
-                let inv = 1.0 / (rv[ci] + self.eps).sqrt();
-                let base = (ni * c + ci) * h * w;
-                for i in base..base + h * w {
-                    out[i] = gd[ci] * (xd[i] - rm[ci]) * inv + bd[ci];
-                }
+        for (p, plane) in x.data_mut().chunks_exact_mut(h * w).enumerate() {
+            let ci = p % c;
+            let inv = 1.0 / (rv[ci] + self.eps).sqrt();
+            for v in plane {
+                *v = gd[ci] * (*v - rm[ci]) * inv + bd[ci];
             }
         }
-        Tensor::from_vec(out, x.shape())
+        x
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -496,11 +492,16 @@ pub enum ActKind {
 impl ActKind {
     /// Applies the activation.
     #[must_use]
+    #[inline]
     pub fn f(self, x: f32) -> f32 {
         match self {
             ActKind::Relu => x.max(0.0),
             ActKind::Relu6 => x.clamp(0.0, 6.0),
             ActKind::HSwish => x * ((x + 3.0).clamp(0.0, 6.0)) / 6.0,
+            // For a NaN `x` the product's two NaN operands differ in sign,
+            // and which one it returns follows the compiler's operand
+            // order: return `x` itself, quieted, in every build.
+            ActKind::Silu if x.is_nan() => x + x,
             ActKind::Silu => x * sigmoid(x),
             ActKind::Gelu => 0.5 * x * (1.0 + ((0.797_884_6) * (x + 0.044715 * x * x * x)).tanh()),
             ActKind::Sigmoid => sigmoid(x),
@@ -549,6 +550,45 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// Runs `$body` with `$k` bound to `$kind` as a constant, one match arm
+/// per [`ActKind`]: inside each arm `$k.f` folds to that kind's formula,
+/// so an elementwise loop over it is monomorphic instead of matching on
+/// the kind at every element.
+macro_rules! per_kind {
+    ($kind:expr, $k:ident => $body:expr) => {
+        match $kind {
+            ActKind::Relu => {
+                const $k: ActKind = ActKind::Relu;
+                $body
+            }
+            ActKind::Relu6 => {
+                const $k: ActKind = ActKind::Relu6;
+                $body
+            }
+            ActKind::HSwish => {
+                const $k: ActKind = ActKind::HSwish;
+                $body
+            }
+            ActKind::Silu => {
+                const $k: ActKind = ActKind::Silu;
+                $body
+            }
+            ActKind::Gelu => {
+                const $k: ActKind = ActKind::Gelu;
+                $body
+            }
+            ActKind::Sigmoid => {
+                const $k: ActKind = ActKind::Sigmoid;
+                $body
+            }
+            ActKind::Tanh => {
+                const $k: ActKind = ActKind::Tanh;
+                $body
+            }
+        }
+    };
+}
+
 /// Elementwise activation layer.
 #[derive(Debug)]
 pub struct Act {
@@ -570,15 +610,14 @@ impl Act {
 
 impl Layer for Act {
     fn forward(&mut self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
-        let k = self.kind;
-        let y = x.map(|v| k.f(v));
+        let y = per_kind!(self.kind, K => x.map(|v| K.f(v)));
         self.cache_x = Some(x);
         y
     }
 
-    fn forward_ref(&self, x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
-        let k = self.kind;
-        x.map(|v| k.f(v))
+    fn forward_ref(&self, mut x: Tensor, _ctx: &mut Ctx<'_>) -> Tensor {
+        per_kind!(self.kind, K => x.map_inplace(|v| K.f(v)));
+        x
     }
 
     fn backward(&mut self, dout: Tensor) -> Tensor {
@@ -1040,6 +1079,70 @@ mod tests {
         }
         assert_eq!(ActKind::Relu6.f(9.0), 6.0);
         assert_eq!(ActKind::Relu.f(-2.0), 0.0);
+    }
+
+    #[test]
+    fn act_per_kind_loops_equal_f_bit_for_bit() {
+        let below = |v: f32| f32::from_bits(v.to_bits() - 1);
+        let mut specials = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffc0_0001),
+            f32::from_bits(0x7f80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // The kinks at ±3 and ±6 with their neighbours; the one at 0 is
+        // met by ±0 and the subnormals above.
+        for kink in [3.0f32, 6.0] {
+            for v in [below(kink), kink, f32::from_bits(kink.to_bits() + 1)] {
+                specials.extend([v, -v]);
+            }
+        }
+        let mut rng = Rng::new(12);
+        specials.extend(Tensor::randn(&[64], 4.0, &mut rng).data());
+        // Repeated past the elementwise maps' parallel floor, so both the
+        // serial and the chunked loops run.
+        let data: Vec<f32> = specials
+            .iter()
+            .copied()
+            .cycle()
+            .take(100 * specials.len())
+            .collect();
+        let x = Tensor::from_vec(data.clone(), &[data.len()]);
+        for kind in [
+            ActKind::Relu,
+            ActKind::Relu6,
+            ActKind::HSwish,
+            ActKind::Silu,
+            ActKind::Gelu,
+            ActKind::Sigmoid,
+            ActKind::Tanh,
+        ] {
+            // The kind as a run-time value: the per-element match.
+            let want: Vec<u32> = data
+                .iter()
+                .map(|&v| std::hint::black_box(kind).f(v).to_bits())
+                .collect();
+            let mut layer = Act::new(kind);
+            let infer = layer.forward_ref(x.clone(), &mut Ctx::new());
+            let train = layer.forward(x.clone(), &mut Ctx::new());
+            for (what, y) in [("forward_ref", infer), ("forward", train)] {
+                for (i, (&got, &want)) in y.data().iter().zip(&want).enumerate() {
+                    assert_eq!(got.to_bits(), want, "{kind:?} {what} at {:e}", data[i]);
+                }
+            }
+        }
     }
 
     #[test]

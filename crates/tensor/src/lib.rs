@@ -49,7 +49,7 @@ pub use gemm::PackedRhs;
 pub use ops::{
     add_channel_bias, col2im, conv2d, cross_entropy, dims4, dwconv2d, dwconv2d_backward,
     global_avg_pool, global_avg_pool_backward, im2col, maxpool2d, maxpool2d_backward, nchw_to_rows,
-    rows_to_nchw, softmax_rows, ConvSpec,
+    softmax_rows, ConvSpec,
 };
 pub use par::{par_chunks_mut, par_chunks_mut_with, pool_size};
 pub use qgemm::PackedCodeRhs;

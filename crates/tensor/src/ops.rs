@@ -49,6 +49,14 @@ impl ConvSpec {
 /// Unfolds an NCHW tensor into im2col layout:
 /// `[N·OH·OW, C·KH·KW]`, rows ordered `(n, oh, ow)`.
 ///
+/// Inside one patch the in-image taps of kernel row `ky` read one
+/// contiguous input run at any stride, so each patch row is filled with
+/// one copy per (channel, kernel row); out-of-image entries stay `0.0`.
+/// A 1×1 kernel is a `[C, H·W] → [H·W, C]` transpose and is filled as
+/// one. The work splits into the `OW` patch rows of one (sample, output
+/// row), which read `C·KH` input rows and whose writes stay in L1; every
+/// entry is a copy, so the result is the same at every thread count.
+///
 /// # Panics
 ///
 /// Panics unless `x` is rank 4.
@@ -56,31 +64,99 @@ impl ConvSpec {
 pub fn im2col(x: &Tensor, spec: &ConvSpec) -> Tensor {
     let (n, c, h, w) = dims4(x);
     let (oh, ow) = spec.out_hw(h, w);
+    let block = ow * c * spec.kh * spec.kw;
+    let mut out = vec![0.0f32; n * oh * block];
+    par::par_chunks_mut(&mut out, block, par::min_units(block), |b0, chunk| {
+        im2col_blocks(x, spec, b0, chunk);
+    });
+    Tensor::from_vec(out, &[n * oh * ow, block / ow])
+}
+
+/// The body of [`im2col`] for whole (sample, output row) blocks
+/// `b0, b0 + 1, …` (block `b` is sample `b / OH`, output row `b % OH`),
+/// written into the zeroed `out`.
+fn im2col_blocks(x: &Tensor, spec: &ConvSpec, b0: usize, out: &mut [f32]) {
+    let (_, c, h, w) = dims4(x);
+    let (oh, ow) = spec.out_hw(h, w);
+    let (kh, kw, stride, pad) = (spec.kh, spec.kw, spec.stride, spec.pad);
+    let ckk = c * kh * kw;
+    for (db, blk) in out.chunks_exact_mut(ow * ckk).enumerate() {
+        let (ni, oy) = ((b0 + db) / oh, (b0 + db) % oh);
+        let planes = &x.data()[ni * c * h * w..(ni + 1) * c * h * w];
+        // Kernel rows `ky` read input row `oy·stride + ky − pad`; the ones
+        // above or below the image stay zero.
+        let rows = tap_range(oy * stride, pad, 1, h, kh);
+        for (ox, orow) in blk.chunks_exact_mut(ckk).enumerate() {
+            // Taps `kx0..kx1` of this patch's kernel rows lie inside the
+            // image: input columns `ix0..ix0 + kx1 − kx0`.
+            let start = ox * stride;
+            let kx0 = pad.saturating_sub(start);
+            let kx1 = (w + pad).saturating_sub(start).min(kw);
+            if kx0 >= kx1 {
+                continue;
+            }
+            let ix0 = start + kx0 - pad;
+            for ky in rows.clone() {
+                // One run per channel `ci`, from plane `ci` at row `iy`
+                // into columns `(ci·KH + ky)·KW + kx0 ..`.
+                let iy = oy * stride + ky - pad;
+                let src = (planes, h * w, iy * w + ix0);
+                // Constant widths copy without a `memcpy` call per run; a
+                // 1×1 kernel's runs are single entries of adjacent columns.
+                match (kh * kw, kx1 - kx0) {
+                    (1, _) => copy_runs(1, src, (&mut *orow, 1, 0)),
+                    (kk, 2) => copy_runs(2, src, (&mut *orow, kk, ky * kw + kx0)),
+                    (kk, 3) => copy_runs(3, src, (&mut *orow, kk, ky * kw + kx0)),
+                    (kk, len) => copy_runs(len, src, (&mut *orow, kk, ky * kw + kx0)),
+                }
+            }
+        }
+    }
+}
+
+/// Copies `len` elements at offset `s0` of each `src_step` chunk of `src`
+/// to offset `d0` of the matching `dst_step` chunk of `dst`. Inlined, so
+/// that a constant `len` makes each run a fixed-size copy.
+#[inline]
+fn copy_runs(
+    len: usize,
+    (src, src_step, s0): (&[f32], usize, usize),
+    (dst, dst_step, d0): (&mut [f32], usize, usize),
+) {
+    for (d, s) in dst
+        .chunks_exact_mut(dst_step)
+        .zip(src.chunks_exact(src_step))
+    {
+        d[d0..d0 + len].copy_from_slice(&s[s0..s0 + len]);
+    }
+}
+
+/// The per-element loop [`im2col`] replaced: the reference its bits are
+/// pinned against.
+#[cfg(test)]
+fn im2col_reference(x: &Tensor, spec: &ConvSpec) -> Tensor {
+    let (n, c, h, w) = dims4(x);
+    let (oh, ow) = spec.out_hw(h, w);
     let ckk = c * spec.kh * spec.kw;
     let mut out = vec![0.0f32; n * oh * ow * ckk];
     let xd = x.data();
-    // Each output row is one `(n, oh, ow)` patch, filled independently of
-    // every other row, so flat row ranges split cleanly across threads.
-    par::par_chunks_mut(&mut out, ckk, par::min_units(ckk), |row0, chunk| {
-        for (dr, orow) in chunk.chunks_mut(ckk).enumerate() {
-            let row = row0 + dr;
-            let ni = row / (oh * ow);
-            let oy = row / ow % oh;
-            let ox = row % ow;
-            for ci in 0..c {
-                for ky in 0..spec.kh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                    for kx in 0..spec.kw {
-                        let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                        let col = (ci * spec.kh + ky) * spec.kw + kx;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            orow[col] = xd[((ni * c + ci) * h + iy as usize) * w + ix as usize];
-                        }
+    for (row, orow) in out.chunks_mut(ckk).enumerate() {
+        let ni = row / (oh * ow);
+        let oy = row / ow % oh;
+        let ox = row % ow;
+        for ci in 0..c {
+            for ky in 0..spec.kh {
+                let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
+                for kx in 0..spec.kw {
+                    let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
+                    let col = (ci * spec.kh + ky) * spec.kw + kx;
+                    if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                        orow[col] = xd[((ni * c + ci) * h + iy as usize) * w + ix as usize];
                     }
                 }
             }
         }
-    });
+    }
     Tensor::from_vec(out, &[n * oh * ow, ckk])
 }
 
@@ -123,9 +199,10 @@ pub fn col2im(dcol: &Tensor, x_shape: &[usize], spec: &ConvSpec) -> Tensor {
     Tensor::from_vec(dx, &[n, c, h, w])
 }
 
-/// Permutes `[N·OH·OW, OC]` (im2col matmul output) to NCHW.
-#[must_use]
-pub fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
+/// Permutes `[N·OH·OW, OC]` (im2col matmul output) to NCHW: the
+/// reference [`conv2d`]'s fused permute-and-bias pass is pinned against.
+#[cfg(test)]
+fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) -> Tensor {
     assert_eq!(rows.shape(), &[n * oh * ow, oc]);
     let rd = rows.data();
     let mut out = vec![0.0f32; n * oc * oh * ow];
@@ -142,7 +219,7 @@ pub fn rows_to_nchw(rows: &Tensor, n: usize, oc: usize, oh: usize, ow: usize) ->
     Tensor::from_vec(out, &[n, oc, oh, ow])
 }
 
-/// Permutes NCHW to `[N·OH·OW, OC]` (the inverse of [`rows_to_nchw`]).
+/// Permutes NCHW to `[N·H·W, C]` (the inverse of [`conv2d`]'s permute).
 #[must_use]
 pub fn nchw_to_rows(x: &Tensor) -> Tensor {
     let (n, c, h, w) = dims4(x);
@@ -167,8 +244,12 @@ pub fn nchw_to_rows(x: &Tensor) -> Tensor {
 /// `gemm` maps the `[N·OH·OW, C·KH·KW]` patch rows to their
 /// `[N·OH·OW, OC]` product with the transposed `[OC, C·KH·KW]` weight,
 /// bias not included; the caller picks the float, packed or bit-true
-/// kernel. Returns the NCHW output and the patch rows, which a training
-/// forward keeps for the weight gradient.
+/// kernel. The product is permuted to NCHW and the bias added in one
+/// pass, `out[n][c][p] = rows[n·P + p][c] + bias[c]`, split by (sample,
+/// channel) planes on the pool: the same single f32 add per output as a
+/// permute followed by [`add_channel_bias`]. Returns the NCHW output and
+/// the patch rows, which a training forward keeps for the weight
+/// gradient.
 ///
 /// # Panics
 ///
@@ -184,9 +265,30 @@ pub fn conv2d(
     let (oh, ow) = spec.out_hw(h, w);
     let col = im2col(x, spec);
     let rows = gemm(&col);
-    let mut out = rows_to_nchw(&rows, n, bias.len(), oh, ow);
-    add_channel_bias(&mut out, bias);
-    (out, col)
+    let oc = bias.len();
+    assert_eq!(rows.shape(), &[n * oh * ow, oc], "GEMM product shape");
+    let mut out = vec![0.0f32; rows.len()];
+    let plane = oh * ow;
+    par::par_chunks_mut(&mut out, plane, par::min_units(plane), |p0, chunk| {
+        nchw_bias_planes(rows.data(), bias.data(), plane, p0, chunk);
+    });
+    (Tensor::from_vec(out, &[n, oc, oh, ow]), col)
+}
+
+/// The body of [`conv2d`]'s output pass for whole `plane`-element planes
+/// `p0, p0 + 1, …` of the `[N·plane, OC]` product `rows` (plane `p` is
+/// sample `n = p / OC`, channel `c = p % OC`): element `i` of a plane is
+/// `rows[n·plane + i][c] + bias[c]`.
+fn nchw_bias_planes(rows: &[f32], bias: &[f32], plane: usize, p0: usize, out: &mut [f32]) {
+    let oc = bias.len();
+    for (dp, o) in out.chunks_exact_mut(plane).enumerate() {
+        let (ni, c) = ((p0 + dp) / oc, (p0 + dp) % oc);
+        let b = bias[c];
+        let src = rows[ni * plane * oc + c..].iter().step_by(oc);
+        for (v, &r) in o.iter_mut().zip(src) {
+            *v = r + b;
+        }
+    }
 }
 
 /// Adds a per-channel bias to an NCHW tensor in place.
@@ -713,6 +815,91 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// `(N, C, H, W)` inputs of the im2col and output-pass pins: 1×1,
+    /// odd and non-square images, 1-wide and 1-high ones, N and C from
+    /// 1, and one tensor large enough that the kernels split it themselves.
+    const PIN_SHAPES: [(usize, usize, usize, usize); 7] = [
+        (1, 1, 1, 1),
+        (1, 2, 5, 5),
+        (2, 3, 7, 4),
+        (3, 1, 3, 9),
+        (1, 4, 1, 6),
+        (2, 5, 6, 1),
+        (2, 8, 16, 16),
+    ];
+
+    /// Every `(spec, x)` of the pins: kernels 1/2/3/5, strides 1/2/3 and
+    /// pads 0/1/2 over [`PIN_SHAPES`], where the kernel fits.
+    fn pin_cases(rng: &mut Rng) -> Vec<(ConvSpec, Tensor)> {
+        let mut cases = Vec::new();
+        for k in [1, 2, 3, 5] {
+            for stride in [1, 2, 3] {
+                for pad in [0, 1, 2] {
+                    for &(n, c, h, w) in &PIN_SHAPES {
+                        if h + 2 * pad >= k && w + 2 * pad >= k {
+                            let x = Tensor::randn(&[n, c, h, w], 1.0, rng);
+                            cases.push((ConvSpec::new(k, stride, pad), x));
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    fn assert_bits_eq(what: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}, element {i}");
+        }
+    }
+
+    #[test]
+    fn im2col_row_copy_bit_identical_to_reference() {
+        let mut rng = Rng::new(9);
+        for (spec, x) in pin_cases(&mut rng) {
+            let what = format!("{spec:?}, x {:?}", x.shape());
+            let want = im2col_reference(&x, &spec);
+            assert_bits_eq(&what, &im2col(&x, &spec), &want);
+            // The block split at explicit thread counts, one block a chunk.
+            let block = want.len() / (x.shape()[0] * spec.out_hw(x.shape()[2], x.shape()[3]).0);
+            for threads in [1, 2, 7] {
+                let mut out = vec![0.0f32; want.len()];
+                par::par_chunks_mut_with(threads, &mut out, block, 1, |b0, chunk| {
+                    im2col_blocks(&x, &spec, b0, chunk);
+                });
+                let got = Tensor::from_vec(out, want.shape());
+                assert_bits_eq(&format!("{what}, {threads} threads"), &got, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn conv_output_pass_bit_identical_to_permute_then_bias() {
+        let mut rng = Rng::new(10);
+        for (spec, x) in pin_cases(&mut rng) {
+            let (n, c, h, w) = dims4(&x);
+            let (oh, ow) = spec.out_hw(h, w);
+            // A stand-in GEMM product with OC = C + 1 channels.
+            let oc = c + 1;
+            let rows = Tensor::randn(&[n * oh * ow, oc], 1.0, &mut rng);
+            let bias = Tensor::randn(&[oc], 1.0, &mut rng);
+            let mut want = rows_to_nchw(&rows, n, oc, oh, ow);
+            add_channel_bias(&mut want, &bias);
+            let what = format!("{spec:?}, x {:?}", x.shape());
+            let (got, _) = conv2d(&x, &spec, &bias, |_| rows.clone());
+            assert_bits_eq(&what, &got, &want);
+            for threads in [1, 2, 7] {
+                let mut out = vec![0.0f32; want.len()];
+                par::par_chunks_mut_with(threads, &mut out, oh * ow, 1, |p0, chunk| {
+                    nchw_bias_planes(rows.data(), bias.data(), oh * ow, p0, chunk);
+                });
+                let got = Tensor::from_vec(out, want.shape());
+                assert_bits_eq(&format!("{what}, {threads} threads"), &got, &want);
             }
         }
     }

@@ -213,6 +213,19 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
+    /// In-place `self += other`: the bits of [`Self::add`], written into
+    /// the tensor the caller owns.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn add_inplace(&mut self, other: &Self) {
+        assert_eq!(self.shape, other.shape, "shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
     /// `self − other`.
     #[must_use]
     pub fn sub(&self, other: &Self) -> Self {
@@ -311,6 +324,26 @@ impl Tensor {
         }
         let packed = gemm::PackedRhs::pack(&other.data, k, n);
         self.matmul_packed(&packed)
+    }
+
+    /// `self · otherᵀ` for `[m,k]` `self` and an `[n,k]` `other`, the
+    /// layout of a layer's `[out, in]` weight. Bit-identical to
+    /// `self.matmul(&other.transpose())`: where [`Self::matmul`] would
+    /// pack its rhs, `other` is packed straight from its layout
+    /// ([`gemm::PackedRhs::pack_t`]) instead of transposed first.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both tensors are rank 2 with matching inner dims.
+    #[must_use]
+    pub fn matmul_t(&self, other: &Self) -> Self {
+        assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
+        assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
+        if self.shape[0] < gemm::PACK_MIN_ROWS {
+            return self.matmul(&other.transpose());
+        }
+        let (n, k) = (other.shape[0], other.shape[1]);
+        self.matmul_packed(&gemm::PackedRhs::pack_t(&other.data, n, k))
     }
 
     /// Matrix product against a pre-packed rhs: `[m,k] × packed[k,n] →
@@ -517,6 +550,22 @@ mod tests {
     }
 
     #[test]
+    fn matmul_t_bit_identical_to_matmul_of_transpose() {
+        // Row counts on both sides of the packing threshold.
+        let mut rng = Rng::new(29);
+        for m in [1, gemm::PACK_MIN_ROWS - 1, gemm::PACK_MIN_ROWS, 37] {
+            let a = Tensor::randn(&[m, 19], 1.0, &mut rng);
+            let w = Tensor::randn(&[21, 19], 1.0, &mut rng);
+            let want = a.matmul(&w.transpose());
+            let got = a.matmul_t(&w);
+            assert_eq!(got.shape(), want.shape());
+            for (g, w) in got.data().iter().zip(want.data()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{m} rows");
+            }
+        }
+    }
+
+    #[test]
     fn transpose_blocked_matches_naive() {
         // Shapes chosen to exercise full tiles, ragged edges, and the
         // degenerate thin cases.
@@ -562,6 +611,9 @@ mod tests {
         let a = Tensor::from_vec(vec![1., -2., 3.], &[3]);
         let b = Tensor::from_vec(vec![2., 2., 2.], &[3]);
         assert_eq!(a.add(&b).data(), &[3., 0., 5.]);
+        let mut sum = a.clone();
+        sum.add_inplace(&b);
+        assert_eq!(sum, a.add(&b));
         assert_eq!(a.sub(&b).data(), &[-1., -4., 1.]);
         assert_eq!(a.mul(&b).data(), &[2., -4., 6.]);
         assert_eq!(a.scale(2.0).data(), &[2., -4., 6.]);
